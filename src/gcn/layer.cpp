@@ -1,6 +1,6 @@
 #include "gcn/layer.hpp"
 
-#include <memory>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/trace.hpp"
@@ -9,9 +9,12 @@
 namespace gsgcn::gcn {
 
 void ensure_shape(tensor::Matrix& m, std::size_t rows, std::size_t cols) {
-  if (m.rows() != rows || m.cols() != cols) {
-    m = tensor::Matrix(rows, cols);
-  }
+  m.resize_uninitialized(rows, cols);
+#if GSGCN_CHECKS_ENABLED
+  // Poison: a kernel that reads an entry it did not write sees NaN and
+  // trips the finite checks instead of silently reusing stale data.
+  m.fill(std::numeric_limits<float>::quiet_NaN());
+#endif
 }
 
 GraphConvLayer::GraphConvLayer(std::size_t in_dim, std::size_t out_dim,
@@ -70,12 +73,8 @@ const tensor::Matrix& GraphConvLayer::forward(const graph::CsrGraph& g,
     propagation::FeaturePartitionOptions opts;
     opts.threads = threads;
     opts.aggregator = aggregator_;
-    if (clock != nullptr) {
-      util::ScopedPhase p(clock->feature_prop);
-      propagation::propagate_feature_partitioned(g, h_in, h_agg_, opts);
-    } else {
-      propagation::propagate_feature_partitioned(g, h_in, h_agg_, opts);
-    }
+    const util::ScopedPhase p(clock != nullptr ? &clock->feature_prop : nullptr);
+    propagation::propagate_feature_partitioned(g, h_in, h_agg_, opts);
   }
 
   // Weight application — dense GEMMs writing straight into the two concat
@@ -83,8 +82,7 @@ const tensor::Matrix& GraphConvLayer::forward(const graph::CsrGraph& g,
   // into the GEMM's store epilogue. Without ReLU the result is already
   // the output — no copy on that path either.
   {
-    std::unique_ptr<util::ScopedPhase> p;
-    if (clock != nullptr) p = std::make_unique<util::ScopedPhase>(clock->weight_apply);
+    const util::ScopedPhase p(clock != nullptr ? &clock->weight_apply : nullptr);
     const auto epilogue =
         relu_ ? tensor::Epilogue::kRelu : tensor::Epilogue::kNone;
     tensor::gemm_nn(h_in, w_self_,
@@ -99,7 +97,8 @@ const tensor::Matrix& GraphConvLayer::forward(const graph::CsrGraph& g,
 
 const tensor::Matrix& GraphConvLayer::backward(const graph::CsrGraph& g,
                                                const tensor::Matrix& d_out,
-                                               int threads, PhaseClock* clock) {
+                                               int threads, PhaseClock* clock,
+                                               bool input_grad) {
   if (h_in_ == nullptr) {
     throw std::logic_error("GraphConvLayer::backward before forward");
   }
@@ -111,8 +110,6 @@ const tensor::Matrix& GraphConvLayer::backward(const graph::CsrGraph& g,
                                 d_out.shape_str());
   }
   GSGCN_TRACE_SPAN_ID("layer/backward", n);
-  ensure_shape(d_agg_, n, in_dim());
-  ensure_shape(d_in_, n, in_dim());
 
   // act_ holds the post-ReLU output, which carries the same x > 0 mask as
   // the pre-activation (relu(x) > 0 ⇔ x > 0). Without ReLU, d_out is the
@@ -128,11 +125,19 @@ const tensor::Matrix& GraphConvLayer::backward(const graph::CsrGraph& g,
   const auto d_neigh = tensor::ConstMatrixView::cols_slice(d_pre, fo, fo);
 
   {
-    std::unique_ptr<util::ScopedPhase> p;
-    if (clock != nullptr) p = std::make_unique<util::ScopedPhase>(clock->weight_apply);
+    const util::ScopedPhase p(clock != nullptr ? &clock->weight_apply : nullptr);
     // Weight gradients.
     tensor::gemm_tn(h_in, d_self, d_w_self_, 1.0f, 0.0f, threads);
     tensor::gemm_tn(h_agg_, d_neigh, d_w_neigh_, 1.0f, 0.0f, threads);
+    // The first layer's input is the feature matrix: nothing consumes its
+    // gradient, so the two input-gradient GEMMs, the backward SpMM and the
+    // dropout mask are skipped outright.
+    if (!input_grad) {
+      static const tensor::Matrix kNoGrad;
+      return kNoGrad;
+    }
+    ensure_shape(d_agg_, n, in_dim());
+    ensure_shape(d_in_, n, in_dim());
     // Input gradient, dense parts: d_in = d_self·W_selfᵀ; d_agg = d_neigh·W_neighᵀ.
     tensor::gemm_nt(d_self, w_self_, d_in_, 1.0f, 0.0f, threads);
     tensor::gemm_nt(d_neigh, w_neigh_, d_agg_, 1.0f, 0.0f, threads);
@@ -143,8 +148,7 @@ const tensor::Matrix& GraphConvLayer::backward(const graph::CsrGraph& g,
     propagation::FeaturePartitionOptions opts;
     opts.threads = threads;
     opts.aggregator = aggregator_;
-    std::unique_ptr<util::ScopedPhase> p;
-    if (clock != nullptr) p = std::make_unique<util::ScopedPhase>(clock->feature_prop);
+    const util::ScopedPhase p(clock != nullptr ? &clock->feature_prop : nullptr);
     // Reuse h_agg_ as scratch for the propagated gradient, then add.
     propagation::propagate_feature_partitioned_backward(g, d_agg_, h_agg_, opts);
   }

@@ -58,10 +58,13 @@ class GraphConvLayer {
                                 bool training = false);
 
   /// Backward: consumes d(H_out), fills the weight gradients and returns
-  /// d(H_in). Must follow a forward() on the same graph/input.
+  /// d(H_in). Must follow a forward() on the same graph/input. With
+  /// `input_grad` off (the first layer, whose input is the features) only
+  /// the weight gradients are formed and an empty matrix is returned.
   const tensor::Matrix& backward(const graph::CsrGraph& g,
                                  const tensor::Matrix& d_out, int threads,
-                                 PhaseClock* clock = nullptr);
+                                 PhaseClock* clock = nullptr,
+                                 bool input_grad = true);
 
   std::size_t in_dim() const { return w_self_.rows(); }
   std::size_t out_dim() const { return w_self_.cols(); }     // per branch
@@ -107,8 +110,12 @@ class GraphConvLayer {
   tensor::Matrix d_in_;
 };
 
-/// Resize helper: (re)allocate only when the shape changes, so steady-state
-/// training does no allocation.
+/// Workspace reshape: grow-only, so a buffer reallocates only when a shape
+/// needs more floats than any earlier one did, and steady-state training,
+/// evaluation and serving make no allocation. Contents are unspecified
+/// afterwards — every caller writes each entry before reading it (and must
+/// zero explicitly to accumulate). Checked builds fill the buffer with
+/// quiet NaN so a read of an unwritten entry trips the finite checks.
 void ensure_shape(tensor::Matrix& m, std::size_t rows, std::size_t cols);
 
 }  // namespace gsgcn::gcn

@@ -1,7 +1,6 @@
 #include "gcn/model.hpp"
 
 #include <fstream>
-#include <memory>
 #include <stdexcept>
 
 #include "tensor/ops.hpp"
@@ -37,8 +36,7 @@ const tensor::Matrix& GcnModel::forward(const graph::CsrGraph& g,
   last_hidden_ = h;
   ensure_shape(logits_, h->rows(), cfg_.num_classes);
   {
-    std::unique_ptr<util::ScopedPhase> p;
-    if (clock != nullptr) p = std::make_unique<util::ScopedPhase>(clock->weight_apply);
+    const util::ScopedPhase p(clock != nullptr ? &clock->weight_apply : nullptr);
     tensor::gemm_nn(*h, w_cls_, logits_, 1.0f, 0.0f, threads);
     tensor::add_bias_rows(logits_, {b_cls_.data(), b_cls_.cols()}, threads);
   }
@@ -53,15 +51,15 @@ void GcnModel::backward(const graph::CsrGraph& g,
   }
   ensure_shape(d_hidden_, last_hidden_->rows(), last_hidden_->cols());
   {
-    std::unique_ptr<util::ScopedPhase> p;
-    if (clock != nullptr) p = std::make_unique<util::ScopedPhase>(clock->weight_apply);
+    const util::ScopedPhase p(clock != nullptr ? &clock->weight_apply : nullptr);
     tensor::gemm_tn(*last_hidden_, d_logits, d_w_cls_, 1.0f, 0.0f, threads);
     tensor::bias_grad(d_logits, {d_b_cls_.data(), d_b_cls_.cols()});
     tensor::gemm_nt(d_logits, w_cls_, d_hidden_, 1.0f, 0.0f, threads);
   }
+  // The first layer's input gradient (d features) has no consumer.
   const tensor::Matrix* d = &d_hidden_;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    d = &it->backward(g, *d, threads, clock);
+  for (std::size_t l = layers_.size(); l-- > 0;) {
+    d = &layers_[l].backward(g, *d, threads, clock, /*input_grad=*/l > 0);
   }
   last_hidden_ = nullptr;
 }

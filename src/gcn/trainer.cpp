@@ -660,15 +660,14 @@ void Trainer::emit_run_summary(const TrainResult& result) const {
 double Trainer::evaluate(const std::vector<graph::Vid>& subset) {
   if (subset.empty()) return 0.0;
   GSGCN_TRACE_SPAN_ID("train/evaluate", subset.size());
-  // Cache-free full-graph inference: identical numerics to model forward
-  // in eval mode, but it does not disturb the training buffers.
+  // Target-pruned inference: only the rows the subset's logits depend on
+  // are computed, with the same numerics as full-graph inference, and the
+  // training buffers are left undisturbed.
   const tensor::Matrix& logits =
       infer_logits(*model_, ds_.graph, ds_.features, infer_scratch_,
-                   cfg_.threads);
-  ensure_shape(eval_pred_, logits.rows(), logits.cols());
-  predict(ds_.mode, logits, eval_pred_);
+                   cfg_.threads, subset);
   ensure_shape(subset_pred_, subset.size(), logits.cols());
-  tensor::gather_rows(eval_pred_, subset, subset_pred_, cfg_.threads);
+  predict(ds_.mode, logits, subset_pred_);
   // The val/test truth subsets were gathered once at construction; any
   // other subset (callers may evaluate arbitrary vertex sets) falls back
   // to a per-call gather.

@@ -8,8 +8,9 @@
 //
 // Training happens on the *training graph* (the subgraph of the dataset
 // induced on the training split, as in GraphSAGE's inductive setup), so
-// every sampled vertex carries a supervised label. Validation/test use
-// full-graph inference.
+// every sampled vertex carries a supervised label. Validation/test run
+// inference on the full graph, pruned to the rows the scored vertices'
+// logits depend on (gcn/inference.hpp).
 
 #include <memory>
 #include <vector>
@@ -182,7 +183,8 @@ class Trainer {
 
   TrainResult train();
 
-  /// F1-micro of full-graph inference restricted to `subset` rows.
+  /// F1-micro of the model on `subset` (inference computes only the rows
+  /// those vertices' logits depend on; equal to scoring full-graph logits).
   double evaluate(const std::vector<graph::Vid>& subset);
 
   GcnModel& model() { return *model_; }
@@ -235,7 +237,6 @@ class Trainer {
   tensor::Matrix batch_features_;
   tensor::Matrix batch_labels_;
   tensor::Matrix d_logits_;
-  tensor::Matrix eval_pred_;
   tensor::Matrix subset_pred_;
   tensor::Matrix subset_truth_;
   // Hoisted evaluate() truth rows: the val/test label subsets are

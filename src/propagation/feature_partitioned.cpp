@@ -34,10 +34,11 @@ Slice feature_slice(std::size_t f, int q, int i) {
   return {b, b + len};
 }
 
-int analytic_q(const graph::CsrGraph& g, std::size_t f,
+/// Q* for slices of an n-row source operand (the rows every slice streams).
+int analytic_q(const graph::CsrGraph& g, std::size_t n, std::size_t f,
                const FeaturePartitionOptions& opts, int threads) {
   CommModelParams m;
-  m.n = g.num_vertices();
+  m.n = static_cast<std::int64_t>(n);
   m.d = g.average_degree();
   m.f = static_cast<std::int64_t>(f);
   m.elem_bytes = sizeof(float);
@@ -48,12 +49,12 @@ int analytic_q(const graph::CsrGraph& g, std::size_t f,
   return choose_feature_partitions(m);
 }
 
-int pick_q(const graph::CsrGraph& g, std::size_t f,
+int pick_q(const graph::CsrGraph& g, std::size_t n, std::size_t f,
            const FeaturePartitionOptions& opts, int threads) {
   // f == 0 still needs q >= 1 so the slice loop and its assert stay sane.
   const int fmax = static_cast<int>(std::max<std::size_t>(f, 1));
   if (opts.force_q > 0) return std::min(opts.force_q, fmax);
-  return analytic_q(g, f, opts, threads);
+  return analytic_q(g, n, f, opts, threads);
 }
 
 // ---- measured-Q autotuner ------------------------------------------------
@@ -137,9 +138,9 @@ std::vector<int> q_candidates(int q_star, int c, int fmax) {
 }
 
 template <typename RunFn>
-int measured_q(const graph::CsrGraph& g, std::size_t f, int threads,
-               bool backward, int q_star, const RunFn& run) {
-  const QKey key{g.num_vertices(),
+int measured_q(const graph::CsrGraph& g, std::size_t rows, std::size_t f,
+               int threads, bool backward, int q_star, const RunFn& run) {
+  const QKey key{rows,
                  quantize_edges(static_cast<std::uint64_t>(g.num_edges())),
                  static_cast<std::uint64_t>(f), threads, backward};
   int q = 0;
@@ -164,6 +165,13 @@ int measured_q(const graph::CsrGraph& g, std::size_t f, int threads,
   }
   q_cache().store(key, q);
   return q;
+}
+
+/// Per-thread source-weight table, grown once and reused so a
+/// steady-state call allocates nothing.
+std::vector<float>& weight_table() {
+  static thread_local std::vector<float> w;
+  return w;
 }
 
 bool use_autotune(const FeaturePartitionOptions& opts) {
@@ -244,30 +252,52 @@ int propagate_feature_partitioned(const graph::CsrGraph& g,
                                   const tensor::Matrix& in, tensor::Matrix& out,
                                   const FeaturePartitionOptions& opts) {
   check(g, in, out);
+  return propagate_feature_partitioned_rows(g, in, nullptr, nullptr, out, opts);
+}
+
+int propagate_feature_partitioned_rows(const graph::CsrGraph& g,
+                                       const tensor::Matrix& in,
+                                       const graph::Vid* rows,
+                                       const graph::Vid* src_of,
+                                       tensor::Matrix& out,
+                                       const FeaturePartitionOptions& opts) {
+  if (in.cols() != out.cols() || out.rows() > g.num_vertices() ||
+      in.rows() > g.num_vertices()) {
+    throw std::invalid_argument("feature_partitioned_rows: bad shapes");
+  }
+  if (in.size() != 0 && in.data() == out.data()) {
+    throw std::invalid_argument("feature_partitioned: in/out must not alias");
+  }
   const int c = util::resolve_threads(opts.threads);
   const std::size_t f = in.cols();
-  const graph::Vid n = g.num_vertices();
-  const std::vector<float> w =
-      tiled::source_weights(g, opts.aggregator, /*backward=*/false, c);
-  const float* wp = w.empty() ? nullptr : w.data();
+  const auto n_out = static_cast<graph::Vid>(out.rows());
+  const float* wp = tiled::source_weights(g, opts.aggregator,
+                                          /*backward=*/false, c, weight_table());
   // Q/C rounds of C concurrent slices (Algorithm 6 lines 4-6). A single
   // collapsed parallel-for gives the same schedule with less fork/join.
   const auto run = [&](int slices) {
     util::parallel_for(slices, c, [&](std::int64_t i) {
       const Slice s = feature_slice(f, slices, static_cast<int>(i));
-      tiled::aggregate_rows(g, opts.aggregator, /*backward=*/false, in, out, 0,
-                            n, s.begin, s.end, wp);
+      tiled::aggregate_rows(g, opts.aggregator, /*backward=*/false, in, out,
+                            0, n_out, s.begin, s.end, wp, rows, src_of);
     });
   };
-  int q = pick_q(g, f, opts, c);
-  if (use_autotune(opts)) q = measured_q(g, f, c, /*backward=*/false, q, run);
+  int q = pick_q(g, in.rows(), f, opts, c);
+  if (use_autotune(opts)) {
+    q = measured_q(g, n_out, f, c, /*backward=*/false, q, run);
+  }
   GSGCN_ASSERT(
       q >= 1 && static_cast<std::size_t>(q) <= std::max<std::size_t>(f, 1),
       "feature partition count out of range");
   GSGCN_TRACE_SPAN_ID("featprop/forward", q);
+  // Edges of a pruned call estimated pro rata (the roofline needs only the
+  // order of magnitude, and an exact count would walk every listed row).
   const obs::Work work [[maybe_unused]] = obs::spmm_work(
-      static_cast<std::int64_t>(g.num_vertices()),
-      static_cast<std::int64_t>(g.num_edges()),
+      static_cast<std::int64_t>(n_out),
+      static_cast<std::int64_t>(
+          g.num_vertices() == 0
+              ? 0
+              : g.num_edges() * n_out / g.num_vertices()),
       static_cast<std::int64_t>(f));
   GSGCN_PERF_REGION_WORK("propagate", work.flops, work.bytes);
   run(q);
@@ -282,9 +312,8 @@ int propagate_feature_partitioned_backward(const graph::CsrGraph& g,
   const int c = util::resolve_threads(opts.threads);
   const std::size_t f = d_out.cols();
   const graph::Vid n = g.num_vertices();
-  const std::vector<float> w =
-      tiled::source_weights(g, opts.aggregator, /*backward=*/true, c);
-  const float* wp = w.empty() ? nullptr : w.data();
+  const float* wp = tiled::source_weights(g, opts.aggregator,
+                                          /*backward=*/true, c, weight_table());
   const auto run = [&](int slices) {
     util::parallel_for(slices, c, [&](std::int64_t i) {
       const Slice s = feature_slice(f, slices, static_cast<int>(i));
@@ -292,8 +321,8 @@ int propagate_feature_partitioned_backward(const graph::CsrGraph& g,
                             0, n, s.begin, s.end, wp);
     });
   };
-  int q = pick_q(g, f, opts, c);
-  if (use_autotune(opts)) q = measured_q(g, f, c, /*backward=*/true, q, run);
+  int q = pick_q(g, n, f, opts, c);
+  if (use_autotune(opts)) q = measured_q(g, n, f, c, /*backward=*/true, q, run);
   GSGCN_ASSERT(
       q >= 1 && static_cast<std::size_t>(q) <= std::max<std::size_t>(f, 1),
       "feature partition count out of range");
@@ -326,9 +355,9 @@ void propagate_2d(const graph::CsrGraph& g, const graph::Partition& parts,
                  "propagate_2d: partition does not cover the vertex set");
   }
 #endif
-  const std::vector<float> w =
-      tiled::source_weights(g, kind, /*backward=*/false, threads);
-  const float* wp = w.empty() ? nullptr : w.data();
+  std::vector<float> w;
+  const float* wp =
+      tiled::source_weights(g, kind, /*backward=*/false, threads, w);
   const int total = p * q;
   GSGCN_TRACE_SPAN_ID("propagate_2d", total);
   // Tiles are irregular (part sizes vary): hand them out dynamically.
@@ -350,7 +379,7 @@ int propagate_feature_partitioned(const graph::CsrGraph& g,
                                   const FeaturePartitionOptions& opts) {
   check(g, in, out);
   const int c = util::resolve_threads(opts.threads);
-  const int q = pick_q(g, in.cols(), opts, c);
+  const int q = pick_q(g, in.rows(), in.cols(), opts, c);
   util::parallel_for(q, c, [&](std::int64_t i) {
     forward_slice(g, opts.aggregator, in, out,
                   feature_slice(in.cols(), q, static_cast<int>(i)));
@@ -364,7 +393,7 @@ int propagate_feature_partitioned_backward(const graph::CsrGraph& g,
                                            const FeaturePartitionOptions& opts) {
   check(g, d_out, d_in);
   const int c = util::resolve_threads(opts.threads);
-  const int q = pick_q(g, d_out.cols(), opts, c);
+  const int q = pick_q(g, d_out.rows(), d_out.cols(), opts, c);
   util::parallel_for(q, c, [&](std::int64_t i) {
     backward_slice(g, opts.aggregator, d_out, d_in,
                    feature_slice(d_out.cols(), q, static_cast<int>(i)));

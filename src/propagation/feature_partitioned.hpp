@@ -40,6 +40,20 @@ int propagate_feature_partitioned(const graph::CsrGraph& g,
                                   tensor::Matrix& out,
                                   const FeaturePartitionOptions& opts = {});
 
+/// Row-pruned forward under the same partitioning, for callers that need
+/// only some rows (targeted inference): output row i is the aggregation of
+/// vertex rows[i] (rows == nullptr: vertex i), for i < out.rows, and
+/// neighbor u is read from in.row(src_of[u]) (src_of == nullptr:
+/// in.row(u)). `in` and `out` may be compact row sets of g; each row is
+/// bit-identical to that vertex's row of propagate_feature_partitioned.
+/// Returns the Q used.
+int propagate_feature_partitioned_rows(const graph::CsrGraph& g,
+                                       const tensor::Matrix& in,
+                                       const graph::Vid* rows,
+                                       const graph::Vid* src_of,
+                                       tensor::Matrix& out,
+                                       const FeaturePartitionOptions& opts = {});
+
 /// Backward (gradient) pass under the same partitioning.
 int propagate_feature_partitioned_backward(
     const graph::CsrGraph& g, const tensor::Matrix& d_out,

@@ -67,10 +67,22 @@ bool needs_weights(AggregatorKind kind, bool backward) {
 /// 8-wide and scalar paths all apply the same per-element chain — FMA per
 /// neighbor when weighted, plain add when not, one multiply at the end —
 /// so slice boundaries cannot change any element's value.
+///
+/// kRemap reads neighbor u from in.row(src_of[u]) instead of in.row(u), so
+/// the source may be a compact row set (the pruned inference path).
+template <bool kRemap>
 void tiled_row(const graph::CsrGraph& g, graph::Vid v,
-               const tensor::Matrix& in, tensor::Matrix& out, std::size_t c0,
-               std::size_t c1, const float* w, RowScale scale) {
-  float* dst = out.row(v) + c0;
+               const tensor::Matrix& in, float* out_row, std::size_t c0,
+               std::size_t c1, const float* w, RowScale scale,
+               const graph::Vid* src_of) {
+  const auto src_row = [&](graph::Vid u) {
+    if constexpr (kRemap) {
+      return in.row(src_of[u]);
+    } else {
+      return in.row(u);
+    }
+  };
+  float* dst = out_row + c0;
   const std::size_t len = c1 - c0;
   const auto nbrs = g.neighbors(v);
   if (nbrs.empty()) {
@@ -96,7 +108,7 @@ void tiled_row(const graph::CsrGraph& g, graph::Vid v,
     if (w != nullptr) {
       for (const graph::Vid u : nbrs) {
         GSGCN_CHECK_BOUNDS(u, n);
-        const float* src = in.row(u) + c0 + j;
+        const float* src = src_row(u) + c0 + j;
         const __m256 vw = _mm256_set1_ps(w[u]);
         a0 = _mm256_fmadd_ps(vw, _mm256_loadu_ps(src), a0);
         a1 = _mm256_fmadd_ps(vw, _mm256_loadu_ps(src + 8), a1);
@@ -106,7 +118,7 @@ void tiled_row(const graph::CsrGraph& g, graph::Vid v,
     } else {
       for (const graph::Vid u : nbrs) {
         GSGCN_CHECK_BOUNDS(u, n);
-        const float* src = in.row(u) + c0 + j;
+        const float* src = src_row(u) + c0 + j;
         a0 = _mm256_add_ps(a0, _mm256_loadu_ps(src));
         a1 = _mm256_add_ps(a1, _mm256_loadu_ps(src + 8));
         a2 = _mm256_add_ps(a2, _mm256_loadu_ps(src + 16));
@@ -130,12 +142,12 @@ void tiled_row(const graph::CsrGraph& g, graph::Vid v,
       for (const graph::Vid u : nbrs) {
         GSGCN_CHECK_BOUNDS(u, n);
         a = _mm256_fmadd_ps(_mm256_set1_ps(w[u]),
-                            _mm256_loadu_ps(in.row(u) + c0 + j), a);
+                            _mm256_loadu_ps(src_row(u) + c0 + j), a);
       }
     } else {
       for (const graph::Vid u : nbrs) {
         GSGCN_CHECK_BOUNDS(u, n);
-        a = _mm256_add_ps(a, _mm256_loadu_ps(in.row(u) + c0 + j));
+        a = _mm256_add_ps(a, _mm256_loadu_ps(src_row(u) + c0 + j));
       }
     }
     if (scaled) a = _mm256_mul_ps(a, vs);
@@ -149,12 +161,12 @@ void tiled_row(const graph::CsrGraph& g, graph::Vid v,
     if (w != nullptr) {
       for (const graph::Vid u : nbrs) {
         GSGCN_CHECK_BOUNDS(u, n);
-        a = std::fma(w[u], in.row(u)[c0 + j], a);
+        a = std::fma(w[u], src_row(u)[c0 + j], a);
       }
     } else {
       for (const graph::Vid u : nbrs) {
         GSGCN_CHECK_BOUNDS(u, n);
-        a += in.row(u)[c0 + j];
+        a += src_row(u)[c0 + j];
       }
     }
     dst[j] = scaled ? a * s : a;
@@ -168,8 +180,8 @@ void aggregate_tiled(const graph::CsrGraph& g, AggregatorKind kind,
                      tensor::Matrix& out, int threads) {
   const auto n = static_cast<std::int64_t>(g.num_vertices());
   const std::size_t f = in.cols();
-  const std::vector<float> w = tiled::source_weights(g, kind, backward, threads);
-  const float* wp = w.empty() ? nullptr : w.data();
+  std::vector<float> w;
+  const float* wp = tiled::source_weights(g, kind, backward, threads, w);
   const std::int64_t blocks = (n + tiled::kRowBlock - 1) / tiled::kRowBlock;
   util::parallel_for(blocks, threads, [&](std::int64_t b) {
     const auto r0 = static_cast<graph::Vid>(b * tiled::kRowBlock);
@@ -183,11 +195,10 @@ void aggregate_tiled(const graph::CsrGraph& g, AggregatorKind kind,
 
 namespace tiled {
 
-std::vector<float> source_weights(const graph::CsrGraph& g,
-                                  AggregatorKind kind, bool backward,
-                                  int threads) {
-  std::vector<float> w;
-  if (!needs_weights(kind, backward)) return w;
+const float* source_weights(const graph::CsrGraph& g, AggregatorKind kind,
+                            bool backward, int threads,
+                            std::vector<float>& w) {
+  if (!needs_weights(kind, backward)) return nullptr;
   const auto n = static_cast<std::int64_t>(g.num_vertices());
   const bool symmetric = kind == AggregatorKind::kSymmetric;
   w.resize(static_cast<std::size_t>(n));
@@ -202,19 +213,27 @@ std::vector<float> source_weights(const graph::CsrGraph& g,
                                                  : 1.0f / d;
     }
   });
-  return w;
+  return w.data();
 }
 
 void aggregate_rows(const graph::CsrGraph& g, AggregatorKind kind,
                     bool backward, const tensor::Matrix& in,
                     tensor::Matrix& out, graph::Vid row_begin,
                     graph::Vid row_end, std::size_t col_begin,
-                    std::size_t col_end, const float* src_weights) {
+                    std::size_t col_end, const float* src_weights,
+                    const graph::Vid* rows, const graph::Vid* src_of) {
   GSGCN_ASSERT((src_weights != nullptr) == needs_weights(kind, backward),
                "tiled::aggregate_rows: weight table does not match path");
   const RowScale scale = row_scale(kind, backward);
-  for (graph::Vid v = row_begin; v < row_end; ++v) {
-    tiled_row(g, v, in, out, col_begin, col_end, src_weights, scale);
+  for (graph::Vid i = row_begin; i < row_end; ++i) {
+    const graph::Vid v = rows != nullptr ? rows[i] : i;
+    if (src_of != nullptr) {
+      tiled_row<true>(g, v, in, out.row(i), col_begin, col_end, src_weights,
+                      scale, src_of);
+    } else {
+      tiled_row<false>(g, v, in, out.row(i), col_begin, col_end, src_weights,
+                       scale, nullptr);
+    }
   }
 }
 
@@ -227,7 +246,8 @@ void aggregate_rows(const graph::CsrGraph& g, AggregatorKind kind,
                "tiled::aggregate_rows: weight table does not match path");
   const RowScale scale = row_scale(kind, backward);
   for (const graph::Vid v : rows) {
-    tiled_row(g, v, in, out, col_begin, col_end, src_weights, scale);
+    tiled_row<false>(g, v, in, out.row(v), col_begin, col_end, src_weights,
+                     scale, nullptr);
   }
 }
 

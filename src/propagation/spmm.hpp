@@ -88,20 +88,28 @@ namespace tiled {
 /// Row-block granularity the aggregate_* wrappers parallelize over.
 inline constexpr std::int64_t kRowBlock = 64;
 
-/// Per-source weight table for (kind, backward), or empty when the path
-/// needs none (sum always; mean forward, whose 1/deg is the epilogue).
-std::vector<float> source_weights(const graph::CsrGraph& g,
-                                  AggregatorKind kind, bool backward,
-                                  int threads = 0);
+/// Per-source weight table for (kind, backward), built in `w` (grown as
+/// needed, so a reused vector does not reallocate). Returns w.data(), or
+/// nullptr when the path needs no table (sum always; mean forward, whose
+/// 1/deg is the epilogue).
+const float* source_weights(const graph::CsrGraph& g, AggregatorKind kind,
+                            bool backward, int threads,
+                            std::vector<float>& w);
 
 /// Aggregate rows [row_begin, row_end) × columns [col_begin, col_end).
-/// src_weights must be source_weights(g, kind, backward).data() when that
-/// table is non-empty and nullptr otherwise.
+/// src_weights must be source_weights(g, kind, backward) when that table
+/// exists and nullptr otherwise. Row-pruned form: with `rows`, output row
+/// i is the aggregation of vertex rows[i] rather than of vertex i, and
+/// with `src_of`, neighbor u is read from in.row(src_of[u]) rather than
+/// in.row(u) — so both operands may be compact row sets of g, and every
+/// row is bit-identical to that vertex's row of the full aggregation.
 void aggregate_rows(const graph::CsrGraph& g, AggregatorKind kind,
                     bool backward, const tensor::Matrix& in,
                     tensor::Matrix& out, graph::Vid row_begin,
                     graph::Vid row_end, std::size_t col_begin,
-                    std::size_t col_end, const float* src_weights);
+                    std::size_t col_end, const float* src_weights,
+                    const graph::Vid* rows = nullptr,
+                    const graph::Vid* src_of = nullptr);
 
 /// Same kernel over an explicit vertex list (propagate_2d's tiles).
 void aggregate_rows(const graph::CsrGraph& g, AggregatorKind kind,

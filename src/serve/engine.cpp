@@ -1,12 +1,10 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <span>
 #include <string>
 
 #include "obs/metrics.hpp"
-#include "tensor/ops.hpp"
 #include "util/fault.hpp"
 
 namespace gsgcn::serve {
@@ -46,10 +44,13 @@ void InferenceEngine::run_batch(const ModelSnapshot& snap,
   closure_.clear();
 
   const std::size_t first_out = out.size();
-  std::vector<std::vector<graph::Vid>> local_rows(batch.size());
-  bool any_compute = false;
+  // Ticket i's local rows are roots_[ticket_begin_[i], ticket_begin_[i+1])
+  // (an empty run for pings and rejected tickets).
+  roots_.clear();
+  ticket_begin_.clear();
   for (std::size_t i = 0; i < batch.size(); ++i) {
     const Ticket& t = batch[i];
+    ticket_begin_.push_back(roots_.size());
     Response resp;
     resp.request_id = t.request.request_id;
     resp.snapshot_seq = snap.seq;
@@ -73,14 +74,13 @@ void InferenceEngine::run_batch(const ModelSnapshot& snap,
       out.push_back(std::move(resp));
       continue;
     }
-    local_rows[i].reserve(t.request.vertices.size());
     for (const graph::Vid v : t.request.vertices) {
-      local_rows[i].push_back(closure_add(v));
+      roots_.push_back(closure_add(v));
     }
-    any_compute = true;
     out.push_back(std::move(resp));  // filled with logits below
   }
-  if (!any_compute) return;
+  ticket_begin_.push_back(roots_.size());
+  if (roots_.empty()) return;
 
   // Pass 2: expand L hops. Frontier slices of closure_ double as the BFS
   // queue — closure_[lo, hi) is exactly the hop-(k) frontier.
@@ -98,30 +98,26 @@ void InferenceEngine::run_batch(const ModelSnapshot& snap,
   GSGCN_GAUGE_SET("serve.closure_size",
                   static_cast<std::int64_t>(closure_.size()));
 
-  // Pass 3: induce + gather + infer on the closure only.
+  // Pass 3: induce + gather the closure, then infer for the roots only.
+  // The closure is hop-ordered from the roots, so each layer's rows are a
+  // row prefix of it.
   graph::Subgraph sub = inducer_.induce(closure_, threads <= 0 ? 1 : threads);
-  if (batch_x_.rows() != closure_.size() ||
-      batch_x_.cols() != features_.cols()) {
-    batch_x_ = tensor::Matrix(closure_.size(), features_.cols());
-  }
+  gcn::ensure_shape(batch_x_, closure_.size(), features_.cols());
   features_.gather(std::span<const std::uint32_t>(closure_), batch_x_,
                    threads);
-  const tensor::Matrix& logits =
-      gcn::infer_logits(snap.model, sub.graph, batch_x_, scratch_, threads);
+  const tensor::Matrix& logits = gcn::infer_logits(
+      snap.model, sub.graph, batch_x_, scratch_, threads, roots_);
 
-  // Pass 4: scatter root rows into each ticket's response.
+  // Pass 4: each ticket's logits are a contiguous run of rows.
   const std::size_t cols = logits.cols();
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    if (local_rows[i].empty()) continue;  // ping or rejected above
+    const std::size_t begin = ticket_begin_[i];
+    const std::size_t rows = ticket_begin_[i + 1] - begin;
+    if (rows == 0) continue;  // ping or rejected above
     Response& resp = out[first_out + i];
-    resp.rows = static_cast<std::uint32_t>(local_rows[i].size());
+    resp.rows = static_cast<std::uint32_t>(rows);
     resp.cols = static_cast<std::uint32_t>(cols);
-    resp.logits.resize(local_rows[i].size() * cols);
-    float* dst = resp.logits.data();
-    for (const graph::Vid local : local_rows[i]) {
-      std::memcpy(dst, logits.row(local), cols * sizeof(float));
-      dst += cols;
-    }
+    resp.logits.assign(logits.row(begin), logits.row(begin) + rows * cols);
   }
 }
 

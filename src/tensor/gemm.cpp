@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 
 #include "obs/perf.hpp"
 #include "obs/roofline.hpp"
@@ -47,6 +48,8 @@ struct Operand {
   const float* p;
   std::size_t ld;
   bool trans;
+  const std::uint32_t* rows = nullptr;  // row i of op(X) is row rows[i]
+                                        // (non-transposed A only)
 };
 
 void check_nn(ConstMatrixView a, ConstMatrixView b, MatrixView c) {
@@ -97,7 +100,8 @@ void pack_a(float* ap, Operand a, std::size_t i0, std::size_t k0,
     const std::size_t mr = std::min(kMr, mc - s);
     if (!a.trans) {
       for (std::size_t r = 0; r < mr; ++r) {
-        const float* src = a.p + (i0 + s + r) * a.ld + k0;
+        const std::size_t i = i0 + s + r;
+        const float* src = a.p + (a.rows != nullptr ? a.rows[i] : i) * a.ld + k0;
         for (std::size_t kk = 0; kk < kc; ++kk) ap[kk * kMr + r] = src[kk];
       }
     } else {
@@ -329,6 +333,32 @@ void gemm_nn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,
   GSGCN_PERF_REGION_WORK("gemm", work.flops, work.bytes);
   gemm_core({a.data(), a.ld(), false}, {b.data(), b.ld(), false}, c, m, n, k,
             alpha, beta, epilogue, threads);
+}
+
+void gemm_nn_rows(ConstMatrixView a, std::span<const std::uint32_t> a_rows,
+                  ConstMatrixView b, MatrixView c, float alpha, float beta,
+                  int threads, Epilogue epilogue) {
+  if (a.cols() != b.rows() || c.rows() != a_rows.size() ||
+      c.cols() != b.cols()) {
+    throw std::invalid_argument("gemm_nn_rows: shape mismatch " +
+                                a.shape_str() + " * " + b.shape_str() +
+                                " -> " + c.shape_str());
+  }
+  for (const std::uint32_t r : a_rows) {
+    if (r >= a.rows()) {
+      throw std::out_of_range("gemm_nn_rows: row " + std::to_string(r) +
+                              " out of range " + a.shape_str());
+    }
+  }
+  const std::size_t m = a_rows.size(), k = a.cols(), n = b.cols();
+  GSGCN_TRACE_SPAN_ID("gemm/nn", 2 * m * n * k);
+  const obs::Work work [[maybe_unused]] = obs::gemm_work(
+      static_cast<std::int64_t>(m), static_cast<std::int64_t>(k),
+      static_cast<std::int64_t>(n), beta != 0.0f);
+  GSGCN_PERF_REGION_WORK("gemm", work.flops, work.bytes);
+  gemm_core({a.data(), a.ld(), false, a_rows.data()},
+            {b.data(), b.ld(), false}, c, m, n, k, alpha, beta, epilogue,
+            threads);
 }
 
 void gemm_tn(ConstMatrixView a, ConstMatrixView b, MatrixView c, float alpha,

@@ -21,6 +21,9 @@
 // `threads` ≤ 0 means "use the current OpenMP max" (so callers can sweep
 // thread counts for the Figure-3C bench without global state).
 
+#include <cstdint>
+#include <span>
+
 #include "tensor/matrix.hpp"
 
 namespace gsgcn::tensor {
@@ -33,6 +36,15 @@ enum class Epilogue { kNone, kRelu };
 void gemm_nn(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              float alpha = 1.0f, float beta = 0.0f, int threads = 0,
              Epilogue epilogue = Epilogue::kNone);
+
+/// C = alpha·A[a_rows]·B + beta·C: row i of the left operand is row
+/// a_rows[i] of `a`, read in place by the packing (no gathered copy), so
+/// a row subset of a large matrix costs only its own rows. Each C row is
+/// bit-identical to the row gemm_nn produces for that A row.
+void gemm_nn_rows(ConstMatrixView a, std::span<const std::uint32_t> a_rows,
+                  ConstMatrixView b, MatrixView c, float alpha = 1.0f,
+                  float beta = 0.0f, int threads = 0,
+                  Epilogue epilogue = Epilogue::kNone);
 
 void gemm_tn(ConstMatrixView a, ConstMatrixView b, MatrixView c,
              float alpha = 1.0f, float beta = 0.0f, int threads = 0,

@@ -49,8 +49,14 @@ Matrix Matrix::gaussian(std::size_t rows, std::size_t cols, float stddev,
   return m;
 }
 
+void Matrix::resize_uninitialized(std::size_t rows, std::size_t cols) {
+  if (rows * cols > data_.size()) data_.reset(rows * cols);
+  rows_ = rows;
+  cols_ = cols;
+}
+
 void Matrix::fill(float v) {
-  std::fill(data_.begin(), data_.end(), v);
+  std::fill(data_.begin(), data_.begin() + size(), v);
 }
 
 float Matrix::max_abs_diff(const Matrix& a, const Matrix& b) {

@@ -59,6 +59,15 @@ class Matrix {
   std::size_t size() const { return rows_ * cols_; }
   bool empty() const { return size() == 0; }
 
+  /// Floats the allocation holds; size() <= capacity().
+  std::size_t capacity() const { return data_.size(); }
+
+  /// Reshape to rows x cols, keeping the allocation when capacity()
+  /// suffices and reallocating otherwise. Contents are unspecified
+  /// afterwards (nothing is zeroed): this is for workspaces whose every
+  /// entry is written before it is read.
+  void resize_uninitialized(std::size_t rows, std::size_t cols);
+
   float* data() { return data_.data(); }
   const float* data() const { return data_.data(); }
 

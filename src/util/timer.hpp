@@ -55,16 +55,21 @@ class PhaseTimer {
 #endif
 };
 
-/// RAII guard adding an interval to a PhaseTimer.
+/// RAII guard adding an interval to a PhaseTimer; a null timer makes it a
+/// no-op, so optional clocks need no heap-allocated guard.
 class ScopedPhase {
  public:
-  explicit ScopedPhase(PhaseTimer& t) : t_(t) { t_.start(); }
-  ~ScopedPhase() { t_.stop(); }
+  explicit ScopedPhase(PhaseTimer* t) : t_(t) {
+    if (t_ != nullptr) t_->start();
+  }
+  ~ScopedPhase() {
+    if (t_ != nullptr) t_->stop();
+  }
   ScopedPhase(const ScopedPhase&) = delete;
   ScopedPhase& operator=(const ScopedPhase&) = delete;
 
  private:
-  PhaseTimer& t_;
+  PhaseTimer* t_;
 };
 
 }  // namespace gsgcn::util

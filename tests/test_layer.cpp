@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "gcn/layer.hpp"
 #include "propagation/spmm.hpp"
 #include "tensor/gemm.hpp"
@@ -45,6 +47,35 @@ TEST(Layer, BackwardBeforeForwardThrows) {
   const CsrGraph g = gsgcn::testing::tiny_graph();
   const Matrix d(5, 6);
   EXPECT_THROW(layer.backward(g, d, 1), std::logic_error);
+}
+
+TEST(Layer, SkippingInputGradKeepsWeightGradsBitIdentical) {
+  // The first layer's backward skips d(H_in); its weight gradients must
+  // not move by a bit (training losses depend on them).
+  for (const float dropout : {0.0f, 0.4f}) {
+    const CsrGraph g = gsgcn::testing::small_er(40, 150, 6);
+    util::Xoshiro256 data_rng(7);
+    const Matrix x = Matrix::gaussian(40, 6, 1.0f, data_rng);
+    const Matrix d_out = Matrix::gaussian(40, 8, 1.0f, data_rng);
+    Matrix grads[2][2];
+    for (const bool input_grad : {true, false}) {
+      util::Xoshiro256 rng(8);  // same weights and dropout stream each pass
+      GraphConvLayer layer(6, 4, true, rng);
+      layer.set_dropout(dropout);
+      layer.forward(g, x, 1, nullptr, /*training=*/true);
+      const Matrix& d_in = layer.backward(g, d_out, 1, nullptr, input_grad);
+      EXPECT_EQ(d_in.empty(), !input_grad);
+      grads[input_grad][0] = layer.grad_w_self();
+      grads[input_grad][1] = layer.grad_w_neigh();
+    }
+    for (int w = 0; w < 2; ++w) {
+      ASSERT_EQ(grads[0][w].size(), grads[1][w].size());
+      EXPECT_EQ(std::memcmp(grads[0][w].data(), grads[1][w].data(),
+                            grads[0][w].size() * sizeof(float)),
+                0)
+          << "dropout " << dropout << " weight " << w;
+    }
+  }
 }
 
 TEST(Layer, ForwardMatchesManualComposition) {

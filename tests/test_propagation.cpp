@@ -358,8 +358,9 @@ TEST_P(AggregatorSweep, AdjointOnEveryKernelPath) {
   const Matrix x = random_features(kN, kF, 48);
   const Matrix y = random_features(kN, kF, 49);
   const graph::Partition parts = graph::partition_range(kN, 4);
-  const std::vector<float> w_fwd =
-      tiled::source_weights(g, kind, /*backward=*/false);
+  std::vector<float> w_table;
+  const float* w_fwd =
+      tiled::source_weights(g, kind, /*backward=*/false, 0, w_table);
 
   const auto forward = [&](int path, const Matrix& src, Matrix& dst) {
     switch (path) {
@@ -375,7 +376,7 @@ TEST_P(AggregatorSweep, AdjointOnEveryKernelPath) {
       case 3: propagate_2d(g, parts, 2, kind, src, dst, 2); break;
       case 4:
         tiled::aggregate_rows(g, kind, /*backward=*/false, src, dst, 0, kN, 0,
-                              kF, w_fwd.empty() ? nullptr : w_fwd.data());
+                              kF, w_fwd);
         break;
       default: FAIL();
     }

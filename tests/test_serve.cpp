@@ -21,6 +21,8 @@
 #include "gcn/adam.hpp"
 #include "gcn/checkpoint.hpp"
 #include "gcn/inference.hpp"
+#include "graph/subgraph.hpp"
+#include "tensor/ops.hpp"
 #include "serve/admission.hpp"
 #include "serve/engine.hpp"
 #include "serve/protocol.hpp"
@@ -447,6 +449,71 @@ TEST_F(ServeEngineTest, ClosureInferenceMatchesFullGraph) {
         EXPECT_NEAR(out[r].logits[i * cols + c],
                     full(wanted[r][i], c), 1e-4)
             << "root " << wanted[r][i] << " col " << c;
+      }
+    }
+  }
+}
+
+TEST_F(ServeEngineTest, RepliesEqualInferenceOverTheSameClosureBitForBit) {
+  // Pruned serving computes only the closure rows each layer reads; every
+  // reply row must still be memcmp-equal to full inference over the
+  // induced closure the batch touched.
+  const std::vector<std::vector<std::vector<graph::Vid>>> batches = {
+      {{0, 17, 123}, {250, 17}},  // overlapping tickets
+      {{42}},                     // a single root
+      {{299, 3, 3}, {}, {8}},     // duplicates, a rejected ticket
+  };
+  for (const auto aggregator :
+       {propagation::AggregatorKind::kMean, propagation::AggregatorKind::kSum,
+        propagation::AggregatorKind::kSymmetric}) {
+    for (const int layers : {1, 2, 3}) {
+      gcn::ModelConfig mc = snap_->model.config();
+      mc.aggregator = aggregator;
+      mc.num_layers = layers;
+      const ModelSnapshot snap(1, 1, gcn::GcnModel(mc));
+      for (const int threads : {1, 2}) {
+        InferenceEngine engine(ds_.graph, fstore_);
+        graph::Inducer inducer(ds_.graph);
+        for (const auto& tickets : batches) {
+          std::vector<Ticket> batch;
+          for (std::size_t i = 0; i < tickets.size(); ++i) {
+            batch.push_back(infer_ticket(tickets[i], i + 1));
+          }
+          std::vector<Response> out;
+          engine.run_batch(snap, batch, out, threads);
+
+          const std::vector<graph::Vid>& closure = engine.last_closure();
+          const graph::Subgraph sub = inducer.induce(closure);
+          tensor::Matrix x(closure.size(), ds_.feature_dim());
+          tensor::gather_rows(ds_.features, closure, x);
+          gcn::InferenceScratch scratch;
+          const tensor::Matrix& want =
+              gcn::infer_logits(snap.model, sub.graph, x, scratch, threads);
+          std::vector<graph::Vid> local_of(ds_.graph.num_vertices());
+          for (std::size_t r = 0; r < closure.size(); ++r) {
+            local_of[closure[r]] = static_cast<graph::Vid>(r);
+          }
+          const std::size_t cols = want.cols();
+          ASSERT_EQ(out.size(), tickets.size());
+          for (std::size_t t = 0; t < tickets.size(); ++t) {
+            if (tickets[t].empty()) {
+              EXPECT_EQ(out[t].status, Status::kBadRequest);
+              continue;
+            }
+            ASSERT_EQ(out[t].status, Status::kOk) << out[t].message;
+            ASSERT_EQ(out[t].rows, tickets[t].size());
+            ASSERT_EQ(out[t].cols, cols);
+            for (std::size_t i = 0; i < tickets[t].size(); ++i) {
+              EXPECT_EQ(std::memcmp(out[t].logits.data() + i * cols,
+                                    want.row(local_of[tickets[t][i]]),
+                                    cols * sizeof(float)),
+                        0)
+                  << propagation::aggregator_name(aggregator) << " L"
+                  << layers << " T" << threads << " root "
+                  << tickets[t][i];
+            }
+          }
+        }
       }
     }
   }

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <tuple>
+#include <vector>
 
 #include "tensor/gemm.hpp"
 #include "tensor/matrix.hpp"
@@ -38,6 +41,26 @@ TEST(Matrix, MoveLeavesSourceEmpty) {
   Matrix b = std::move(a);
   EXPECT_EQ(b.rows(), 4u);
   EXPECT_EQ(a.size(), 0u);
+}
+
+TEST(Matrix, ResizeUninitializedIsGrowOnly) {
+  Matrix m(4, 8);
+  const float* storage = m.data();
+  m.resize_uninitialized(2, 16);  // same size, new shape
+  EXPECT_EQ(m.data(), storage);
+  EXPECT_EQ(m.rows(), 2u);
+  EXPECT_EQ(m.cols(), 16u);
+  m.resize_uninitialized(3, 5);  // smaller: keeps the allocation
+  EXPECT_EQ(m.data(), storage);
+  EXPECT_EQ(m.size(), 15u);
+  EXPECT_EQ(m.capacity(), 32u);
+  m.fill(2.0f);  // touches only the live entries
+  const Matrix copy = m;
+  EXPECT_EQ(copy.size(), 15u);
+  EXPECT_EQ(copy(2, 4), 2.0f);
+  m.resize_uninitialized(5, 8);  // larger: grows
+  EXPECT_EQ(m.size(), 40u);
+  EXPECT_GE(m.capacity(), 40u);
 }
 
 TEST(Matrix, MaxAbsDiffShapeMismatchIsInf) {
@@ -106,6 +129,26 @@ TEST_P(GemmSweep, MultithreadedMatchesSingle) {
   EXPECT_EQ(Matrix::max_abs_diff(c1, c4), 0.0f);  // identical fp order
 }
 
+TEST_P(GemmSweep, RowSubsetMatchesFullRowsBitForBit) {
+  const auto [m, k, n] = GetParam();
+  const Matrix a = random_matrix(m, k, 18);
+  const Matrix b = random_matrix(k, n, 19);
+  Matrix full(m, n);
+  gemm_nn(a, b, full, 1.0f, 0.0f, 1, Epilogue::kRelu);
+  // Reversed, with the first row repeated: order and duplicates are free.
+  std::vector<std::uint32_t> rows;
+  for (std::size_t i = m; i-- > 0;) rows.push_back(static_cast<std::uint32_t>(i));
+  rows.push_back(0);
+  for (const int threads : {1, 4}) {
+    Matrix c(rows.size(), n);
+    gemm_nn_rows(a, rows, b, c, 1.0f, 0.0f, threads, Epilogue::kRelu);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(std::memcmp(c.row(i), full.row(rows[i]), n * sizeof(float)), 0)
+          << "row " << i << " threads " << threads;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, GemmSweep,
     ::testing::Values(GemmShape{1, 1, 1}, GemmShape{3, 5, 7},
@@ -125,6 +168,14 @@ TEST(Gemm, AlphaBetaSemantics) {
   }
   gemm_nn(a, b, c, 2.0f, 0.5f);
   EXPECT_LT(Matrix::max_abs_diff(c, expect), 1e-3f);
+}
+
+TEST(Gemm, RowSubsetRejectsOutOfRangeRow) {
+  const Matrix a = random_matrix(4, 3, 25);
+  const Matrix b = random_matrix(3, 2, 26);
+  Matrix c(2, 2);
+  const std::vector<std::uint32_t> rows = {1, 4};
+  EXPECT_THROW(gemm_nn_rows(a, rows, b, c), std::out_of_range);
 }
 
 TEST(Gemm, BetaZeroIgnoresGarbage) {
