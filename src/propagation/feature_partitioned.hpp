@@ -2,11 +2,13 @@
 // Partitioned feature-propagation schemes.
 //
 // The paper's scheme (Algorithm 6): keep the graph whole (P = 1), split
-// the feature dimension into Q = max{C, elem·n·f/S_cache} slices, and
-// propagate Q/C rounds of C slices in parallel. Each processor's working
-// set (one feature slice of all vertices) fits in its private cache, load
-// balance is perfect (all processors do identical work per round), and
-// there is no pre-processing.
+// the feature dimension into Q slices, and propagate Q/C rounds of C
+// slices in parallel. Load balance is perfect (all processors do
+// identical work per round) and there is no pre-processing. Theorem 2
+// sizes Q* = max{C, elem·n·f/S_cache} so that each slice fits a private
+// cache; the tiled kernels drop the cache term and use Q = C, one slice
+// per thread, which measured faster than Q* wherever the two differ
+// (DESIGN.md, "One partition rule"). The legacy:: kernels keep Q*.
 //
 // The 2-D scheme (P vertex parts × Q feature slices) is what the label-
 // propagation literature would do; it is implemented here as the
@@ -21,15 +23,9 @@
 namespace gsgcn::propagation {
 
 struct FeaturePartitionOptions {
-  int threads = 0;     // C (0 = OpenMP max)
-  std::size_t cache_bytes = 0;  // per-core private cache; 0 = detect (L2)
-  int force_q = 0;     // 0 = use choose_feature_partitions
+  int threads = 0;  // C (0 = OpenMP max)
+  int force_q = 0;  // 0 = min(C, f); legacy:: kernels: Theorem 2's Q*
   AggregatorKind aggregator = AggregatorKind::kMean;
-  // Time a few Q candidates around the analytic Q* and keep the fastest,
-  // cached per (n, e, f, threads) shape. Only engages when neither force_q
-  // nor cache_bytes pins the choice. The tiled kernel is bit-identical for
-  // every Q, so the measured pick never changes numerics.
-  bool autotune = true;
 };
 
 /// Mean aggregation via Algorithm 6 (P = 1, feature-only partitioning).
@@ -46,7 +42,9 @@ int propagate_feature_partitioned(const graph::CsrGraph& g,
 /// neighbor u is read from in.row(src_of[u]) (src_of == nullptr:
 /// in.row(u)). `in` and `out` may be compact row sets of g; each row is
 /// bit-identical to that vertex's row of propagate_feature_partitioned.
-/// Returns the Q used.
+/// With src_of == nullptr, `in` may have fewer than |V| rows only if every
+/// neighbor of every output vertex has a row in it (a hop-ordered prefix);
+/// otherwise this throws std::invalid_argument. Returns the Q used.
 int propagate_feature_partitioned_rows(const graph::CsrGraph& g,
                                        const tensor::Matrix& in,
                                        const graph::Vid* rows,
@@ -67,8 +65,9 @@ void propagate_2d(const graph::CsrGraph& g, const graph::Partition& parts,
                   tensor::Matrix& out, int threads = 0);
 
 /// The pre-tiling scalar slice kernels, kept as the measured baseline for
-/// bench_propagation (the tiled-vs-legacy CI gate). Always uses the
-/// analytic Q — no autotuning.
+/// bench_propagation (the tiled-vs-legacy CI gate). Unless force_q pins
+/// it, Q is Theorem 2's Q* for the detected private cache
+/// (util::private_cache_bytes).
 namespace legacy {
 int propagate_feature_partitioned(const graph::CsrGraph& g,
                                   const tensor::Matrix& in,

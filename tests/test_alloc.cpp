@@ -4,7 +4,8 @@
 // checks that, once warmed up, two loops make zero allocations:
 //   - GcnModel::forward → classification_loss → backward →
 //     apply_gradients, over subgraphs no larger than those already seen
-//     (grow-only workspaces), and
+//     (grow-only workspaces), including sizes never seen before, as
+//     sampler draws are, and
 //   - a repeated Trainer::evaluate(val) (target-pruned inference scratch).
 // Scope: the compute path only. The subgraph sampler and pool build a
 // fresh CSR and id vectors per draw and are excluded — the subgraphs here
@@ -116,18 +117,32 @@ data::Dataset dataset() {
 
 TEST(SteadyStateAllocations, TrainingIterationAllocatesNothing) {
   const data::Dataset ds = dataset();
-  // Subgraphs of varying size; the largest comes first, as the sampler
-  // budget bounds every later draw.
+  // Subgraphs on `size` distinct random vertices, so each has exactly that
+  // many: `warm` sizes run before counting starts (the largest first, as
+  // the sampler budget bounds every later draw), `fresh` sizes only while
+  // counting.
   graph::Inducer inducer(ds.graph);
   util::Xoshiro256 rng(7);
-  std::vector<graph::Subgraph> subs;
-  for (const graph::Vid size : {260u, 180u, 240u, 90u}) {
-    std::vector<graph::Vid> ids;
-    for (graph::Vid i = 0; i < size; ++i) {
-      ids.push_back(static_cast<graph::Vid>(rng() % ds.graph.num_vertices()));
+  const auto induce = [&](const std::vector<graph::Vid>& sizes) {
+    std::vector<graph::Subgraph> out;
+    for (const graph::Vid size : sizes) {
+      std::vector<bool> taken(ds.graph.num_vertices(), false);
+      std::vector<graph::Vid> ids;
+      while (ids.size() < size) {
+        const auto v =
+            static_cast<graph::Vid>(rng() % ds.graph.num_vertices());
+        if (!taken[v]) {
+          taken[v] = true;
+          ids.push_back(v);
+        }
+      }
+      out.push_back(inducer.induce(ids));
+      EXPECT_EQ(out.back().num_vertices(), size);
     }
-    subs.push_back(inducer.induce(ids));
-  }
+    return out;
+  };
+  const std::vector<graph::Subgraph> warm = induce({260, 180, 240, 90});
+  const std::vector<graph::Subgraph> fresh = induce({200, 150, 120});
   for (const int threads : thread_counts()) {
     for (const float dropout : {0.0f, 0.3f}) {
       ModelConfig mc;
@@ -154,10 +169,11 @@ TEST(SteadyStateAllocations, TrainingIterationAllocatesNothing) {
         model.backward(sub.graph, d_logits, threads, &clock);
         model.apply_gradients(opt);
       };
-      for (const auto& sub : subs) iteration(sub);  // warm-up
+      for (const auto& sub : warm) iteration(sub);
       const long before = allocations();
+      for (const auto& sub : fresh) iteration(sub);
       for (int rep = 0; rep < 3; ++rep) {
-        for (const auto& sub : subs) iteration(sub);
+        for (const auto& sub : warm) iteration(sub);
       }
       EXPECT_EQ(allocations() - before, 0)
           << "threads=" << threads << " dropout=" << dropout;

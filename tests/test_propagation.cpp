@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -138,14 +140,27 @@ INSTANTIATE_TEST_SUITE_P(
                       std::tuple{32, 0}, std::tuple{32, 32},
                       std::tuple{33, 5}, std::tuple{64, 16}));
 
+// Default options give one feature slice per thread, Q = min(C, f), on
+// every entry point.
 TEST(FeaturePartitioned, QNeverExceedsFeatureCount) {
   const CsrGraph g = gsgcn::testing::small_er(100, 500, 13);
-  const Matrix in = random_features(100, 3, 14);
-  Matrix out(100, 3);
-  FeaturePartitionOptions opts;
-  opts.threads = 8;  // C > f: Q must clamp to f
-  const int q = propagate_feature_partitioned(g, in, out, opts);
-  EXPECT_LE(q, 3);
+  for (const int c : {1, 2, 4}) {
+    for (const std::size_t f : {1u, 3u, 64u}) {
+      const Matrix in = random_features(100, f, 14);
+      Matrix out(100, f);
+      FeaturePartitionOptions opts;
+      opts.threads = c;
+      const int want = std::min(c, static_cast<int>(f));
+      EXPECT_EQ(propagate_feature_partitioned(g, in, out, opts), want)
+          << "C=" << c << " f=" << f;
+      EXPECT_EQ(propagate_feature_partitioned_rows(g, in, nullptr, nullptr,
+                                                   out, opts),
+                want)
+          << "C=" << c << " f=" << f;
+      EXPECT_EQ(propagate_feature_partitioned_backward(g, in, out, opts), want)
+          << "C=" << c << " f=" << f;
+    }
+  }
 }
 
 TEST(FeaturePartitioned, ZeroColumnsWithForcedQ) {
@@ -168,19 +183,31 @@ TEST(FeaturePartitioned, ZeroColumnsAnalyticQ) {
   EXPECT_EQ(propagate_feature_partitioned_backward(g, in, out, {}), 1);
 }
 
-TEST(FeaturePartitioned, TinyCacheForcesMoreSlices) {
-  const CsrGraph g = gsgcn::testing::small_er(200, 1000, 15);
-  const Matrix in = random_features(200, 64, 16);
-  Matrix out(200, 64);
-  FeaturePartitionOptions small_cache;
-  small_cache.threads = 2;
-  small_cache.cache_bytes = 4 * 1024;  // 200*64*4B = 50KB ≫ 4KB
-  const int q_small = propagate_feature_partitioned(g, in, out, small_cache);
-  FeaturePartitionOptions big_cache;
-  big_cache.threads = 2;
-  big_cache.cache_bytes = 16 * 1024 * 1024;
-  const int q_big = propagate_feature_partitioned(g, in, out, big_cache);
-  EXPECT_GT(q_small, q_big);
+// Regression: with src_of == nullptr every neighbor u is read from
+// in.row(u), and an input with fewer rows than a neighbor's id used to be
+// accepted and read past its end.
+TEST(FeaturePartitioned, RowsRejectsInputMissingANeighborRow) {
+  // Path 0-1-2-5 plus edge 3-4: vertices 0 and 1 read only rows < 3.
+  const CsrGraph g = CsrGraph::from_edges(6, {{0, 1}, {1, 2}, {2, 5}, {3, 4}});
+  const Matrix full = random_features(6, 4, 60);
+  Matrix prefix(3, 4);  // rows 0-2 of `full`
+  std::memcpy(prefix.data(), full.data(), prefix.size() * sizeof(float));
+  Matrix out(3, 4);
+  // Output rows 0-2: vertex 2 reads row 5.
+  EXPECT_THROW(
+      propagate_feature_partitioned_rows(g, prefix, nullptr, nullptr, out),
+      std::invalid_argument);
+  const Vid listed[] = {2};
+  Matrix one(1, 4);
+  EXPECT_THROW(
+      propagate_feature_partitioned_rows(g, prefix, listed, nullptr, one),
+      std::invalid_argument);
+  // A prefix that holds every neighbor of the output rows is accepted and
+  // gives the full-input rows.
+  Matrix two(2, 4), ref(6, 4);
+  propagate_feature_partitioned_rows(g, prefix, nullptr, nullptr, two);
+  propagate_feature_partitioned(g, full, ref);
+  EXPECT_EQ(0, std::memcmp(two.data(), ref.data(), 2 * 4 * sizeof(float)));
 }
 
 // ---- 2-D partitioned scheme ----
@@ -413,9 +440,10 @@ TEST_P(AggregatorSweep, AdjointOnEveryKernelPath) {
 
 // ---- bit-identity across Q, threads and kernel entry points ---------------
 
-// The autotuner may pick a different Q on every run (it measures wall
-// time), so the tiled kernel must produce bit-identical results for ANY
-// slicing — this is what keeps checkpoint/resume histories byte-stable.
+// The default Q = C follows the thread count and force_q pins any other
+// slicing, so the tiled kernel must produce bit-identical results for ANY
+// slicing — this is what keeps results equal across thread counts and
+// checkpoint/resume histories byte-stable.
 TEST_P(AggregatorSweep, BitIdenticalAcrossThreadsAndQ) {
   const AggregatorKind kind = GetParam();
   const CsrGraph g = gsgcn::testing::small_er(150, 700, 50);
@@ -439,16 +467,16 @@ TEST_P(AggregatorSweep, BitIdenticalAcrossThreadsAndQ) {
           << "threads=" << threads << " q=" << q;
     }
   }
-  // The plain entry point and the autotuned path land on the same bits.
+  // The plain entry point and the default Q = C path land on the same bits.
   Matrix plain(150, 37);
   aggregate_forward(g, kind, in, plain, 4);
   EXPECT_EQ(0, std::memcmp(plain.data(), base.data(), bytes));
-  Matrix tuned(150, 37);
-  FeaturePartitionOptions tuned_opts;
-  tuned_opts.threads = 2;
-  tuned_opts.aggregator = kind;
-  propagate_feature_partitioned(g, in, tuned, tuned_opts);
-  EXPECT_EQ(0, std::memcmp(tuned.data(), base.data(), bytes));
+  Matrix by_threads(150, 37);
+  FeaturePartitionOptions default_opts;
+  default_opts.threads = 2;
+  default_opts.aggregator = kind;
+  propagate_feature_partitioned(g, in, by_threads, default_opts);
+  EXPECT_EQ(0, std::memcmp(by_threads.data(), base.data(), bytes));
 }
 
 TEST_P(AggregatorSweep, BackwardBitIdenticalAcrossThreadsAndQ) {
