@@ -180,6 +180,44 @@ BENCHMARK(BM_GemmLegacyTN)->Args({8000, 128});
 BENCHMARK(BM_GemmPackedNT)->Args({8000, 128});
 BENCHMARK(BM_GemmLegacyNT)->Args({8000, 128});
 
+// The weight gradient dW = Hᵀ·dY of one layer on a sampled subgraph:
+// k = subgraph rows, m = f_in, n = hidden width, on a fixed team
+// (args k/m/n/threads). C has only f_in rows, so nearly all of the
+// parallelism is along K. Registered under the BM_GemmPackedTN /
+// BM_GemmLegacyTN names so the packed-vs-legacy pair gate covers them.
+template <bool kPacked>
+void BM_GemmWeightGradTN(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  const auto n = static_cast<std::size_t>(state.range(2));
+  const auto threads = static_cast<int>(state.range(3));
+  const tensor::Matrix a = random_matrix(k, m, 46);  // used transposed
+  const tensor::Matrix b = random_matrix(k, n, 47);
+  tensor::Matrix c(m, n);
+  const obs::PerfReading pr = obs::perf_read_thread();
+  for (auto _ : state) {
+    if constexpr (kPacked) {
+      tensor::gemm_tn(a, b, c, 1.0f, 0.0f, threads);
+    } else {
+      tensor::legacy::gemm_tn(a, b, c, 1.0f, 0.0f, threads);
+    }
+    benchmark::DoNotOptimize(c.data());
+  }
+  set_gemm_counters(state, m, k, n, pr);
+}
+
+void weight_grad_shapes(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t k : {1500, 2000}) {
+    for (const std::int64_t f_in : {96, 256}) b->Args({k, f_in, 128, 2});
+  }
+}
+BENCHMARK_TEMPLATE(BM_GemmWeightGradTN, true)
+    ->Name("BM_GemmPackedTN")
+    ->Apply(weight_grad_shapes);
+BENCHMARK_TEMPLATE(BM_GemmWeightGradTN, false)
+    ->Name("BM_GemmLegacyTN")
+    ->Apply(weight_grad_shapes);
+
 void BM_GemmTN(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const tensor::Matrix a = random_matrix(n, n, 3);

@@ -54,23 +54,35 @@ PMU_ONLY_METRICS = {
 }
 
 
+def median_of_runs(runs):
+    """One {metric: value} from repetitions of a benchmark: the median of
+    each metric over the runs that report it."""
+    metrics = {}
+    for key in {k for run in runs for k in run}:
+        metrics[key] = statistics.median(run[key] for run in runs
+                                         if key in run)
+    return metrics
+
+
 def load_entries(doc, key_fields):
-    """Map {entry_key: {metric: value}} from either bench JSON format."""
+    """Map {entry_key: {metric: value}} from either bench JSON format.
+    Repetitions of one google-benchmark name (--benchmark_repetitions)
+    collapse to the median of each metric."""
     entries = {}
     if "benchmarks" in doc:  # google-benchmark
+        runs = {}
         for entry in doc.get("benchmarks", []):
             if entry.get("run_type") == "aggregate":
                 continue
             name = entry.get("name")
             if not name:
                 continue
-            entries[name] = {
+            runs.setdefault(name, []).append({
                 k: float(v)
                 for k, v in entry.items()
                 if isinstance(v, (int, float)) and not isinstance(v, bool)
-            }
-            if isinstance(entry.get("pmu"), (int, float)):
-                entries[name]["pmu"] = float(entry["pmu"])
+            })
+        entries = {name: median_of_runs(r) for name, r in runs.items()}
     elif "records" in doc:  # repo JsonEmitter
         for rec in doc.get("records", []):
             kind = rec.get("kind", "record")
@@ -216,6 +228,22 @@ def self_test():
     }
     cur = load_entries(gbench, [])
     assert "BM_FooPacked/64_mean" not in cur, "aggregates must be skipped"
+
+    # Repetitions of one name keep the per-metric median, not the last
+    # run: GFLOPS (10, 20, 30) -> 20, so a later outlier cannot decide.
+    reps = {"benchmarks": [
+        {"name": "BM_Rep/1", "run_type": "iteration", "GFLOPS": 10.0,
+         "repetition_index": 0},
+        {"name": "BM_Rep/1", "run_type": "iteration", "GFLOPS": 20.0,
+         "repetition_index": 1},
+        {"name": "BM_Rep/1", "run_type": "iteration", "GFLOPS": 30.0,
+         "repetition_index": 2},
+        {"name": "BM_Rep/1_median", "run_type": "aggregate",
+         "GFLOPS": 99.0},
+    ]}
+    rep = load_entries(reps, [])
+    assert sorted(rep) == ["BM_Rep/1"], sorted(rep)
+    assert rep["BM_Rep/1"]["GFLOPS"] == 20.0, rep
 
     # Pair mode: median ratio (2.0, 3.0) = 2.5 -> passes 2.0, fails 3.0.
     assert check_pairs(cur, "BM_FooPacked", "BM_FooLegacy", "GFLOPS",

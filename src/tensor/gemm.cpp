@@ -26,11 +26,14 @@ namespace {
 //           B loads and one A broadcast — 15 of the 16 AVX2 ymm registers.
 //   Kc      K-block: one packed B strip (Nr·Kc·4 = 16 KiB) plus one packed
 //           A strip (Mr·Kc·4 = 6 KiB) stay L1-resident under the kernel.
-//   Mc      M-block: the packed A block (Mc·Kc·4 = 96 KiB) targets L2, and
-//           Mc is the parallel work unit — each thread packs and owns whole
-//           Mc row blocks, so results are bit-identical for every thread
-//           count (only the block→thread assignment changes).
-//   Nc      N-block: bounds the shared packed B panel (Kc·Nc·4 = 1 MiB).
+//   Mc      M-block: the packed A block (Mc·Kc·4 = 96 KiB) targets L2.
+//           A (K-block, M-block) pair is the parallel work unit — each
+//           thread packs its own A block, and partial sums over K are
+//           added in a fixed order (see gemm_core), so results are
+//           bit-identical for every thread count.
+//   Nc      N-block: bounds the calling thread's packing panel
+//           (Kc·Nc·4 = 1 MiB), which holds the packed B panels of one
+//           group of K-blocks and their partial sums.
 // ---------------------------------------------------------------------------
 constexpr std::size_t kMr = 6;
 constexpr std::size_t kNr = 16;
@@ -274,11 +277,21 @@ void scale_epilogue_only(MatrixView c, float beta, Epilogue epilogue,
 }
 
 /// Shared driver: C = alpha·op(A)·op(B) + beta·C over the blocked loop
-/// nest. B panels are packed once per (jc, kc) block by the calling
-/// thread; Mc row blocks then fan out across the team, each packing its
-/// own A block into a thread-local panel. The per-tile accumulation order
-/// never depends on the thread count, so results are bit-identical from
-/// 1 thread to N.
+/// nest. The parallel work unit is one (K-block, Mc row block) pair, so a
+/// GEMM with few rows but a long K — the weight gradient Hᵀ·dY, whose C
+/// has only f_in rows — still spreads over the whole team.
+///
+/// K-blocks run in groups that share one fork/join. A group's B panels
+/// are packed side by side in the calling thread's panel; its first
+/// K-block accumulates straight into C (with the caller's beta on K-block
+/// 0, 1 after), each later one writes its own partial sum, and a
+/// row-parallel pass then adds the partials into C in K-block order. Each
+/// partial is alpha·(its K-block's dot products), the term the K-serial
+/// loop added in the same order, so every C entry goes through the same
+/// roundings round(...round(beta·C + P0) + P1 ...) — results are
+/// bit-identical for every thread count and group size. The ReLU clamp
+/// applies once the last K-block is in. A one-thread team runs groups of
+/// one K-block: no partials, the plain K-serial nest.
 void gemm_core(Operand a, Operand b, MatrixView c, std::size_t m,
                std::size_t n, std::size_t k, float alpha, float beta,
                Epilogue epilogue, int threads) {
@@ -287,32 +300,71 @@ void gemm_core(Operand a, Operand b, MatrixView c, std::size_t m,
     scale_epilogue_only(c, beta, epilogue, threads);
     return;
   }
-  float* const bp = thread_b_panel();
+  float* const panel = thread_b_panel();
   float* const cdata = c.data();
   const std::size_t ldc = c.ld();
+  const std::size_t num_kblocks = (k + kKc - 1) / kKc;
   const auto num_mblocks = static_cast<std::int64_t>((m + kMc - 1) / kMc);
+  const bool team = util::resolve_threads(threads) > 1;
   for (std::size_t jc = 0; jc < n; jc += kNc) {
     const std::size_t nc = std::min(kNc, n - jc);
-    for (std::size_t kc0 = 0; kc0 < k; kc0 += kKc) {
-      const std::size_t kc = std::min(kKc, k - kc0);
-      pack_b(bp, b, kc0, jc, kc, nc);
-      // First K-block applies the caller's beta; later blocks accumulate.
-      const float beta_eff = kc0 == 0 ? beta : 1.0f;
-      // The ReLU clamp is only valid once the sum over K is complete.
-      const bool relu = (kc0 + kKc >= k) && epilogue == Epilogue::kRelu;
-      util::parallel_for(num_mblocks, threads, [&](std::int64_t blk) {
-        const std::size_t i0 = static_cast<std::size_t>(blk) * kMc;
+    const std::size_t b_stride = kKc * ((nc + kNr - 1) / kNr * kNr);
+    const std::size_t p_stride = m * nc;  // one partial: an m×nc C block
+    // Largest group whose g B panels and g−1 partials fit in the panel.
+    const std::size_t fit = (kKc * kNc + p_stride) / (b_stride + p_stride);
+    const std::size_t group = team ? std::min(num_kblocks, fit) : 1;
+    float* const partials = panel + group * b_stride;
+    for (std::size_t kb0 = 0; kb0 < num_kblocks; kb0 += group) {
+      const auto nkb = static_cast<std::int64_t>(
+          std::min(group, num_kblocks - kb0));
+      const bool last = kb0 + static_cast<std::size_t>(nkb) == num_kblocks;
+      const bool relu = last && epilogue == Epilogue::kRelu;
+      util::parallel_for(nkb, threads, [&](std::int64_t g) {
+        const std::size_t k0 = (kb0 + static_cast<std::size_t>(g)) * kKc;
+        pack_b(panel + static_cast<std::size_t>(g) * b_stride, b, k0, jc,
+               std::min(kKc, k - k0), nc);
+      });
+      util::parallel_for(nkb * num_mblocks, threads, [&](std::int64_t u) {
+        const auto g = static_cast<std::size_t>(u / num_mblocks);
+        const std::size_t i0 = static_cast<std::size_t>(u % num_mblocks) * kMc;
         const std::size_t mc = std::min(kMc, m - i0);
+        const std::size_t k0 = (kb0 + g) * kKc;
+        const std::size_t kc = std::min(kKc, k - k0);
+        // The group's first K-block accumulates into C; each later one
+        // writes its own partial.
+        float* dst = cdata + i0 * ldc + jc;
+        std::size_t ld = ldc;
+        float beta_eff = kb0 == 0 ? beta : 1.0f;
+        if (g > 0) {
+          dst = partials + (g - 1) * p_stride + i0 * nc;
+          ld = nc;
+          beta_eff = 0.0f;
+        }
         float* ap = thread_a_panel();
-        pack_a(ap, a, i0, kc0, mc, kc);
+        pack_a(ap, a, i0, k0, mc, kc);
         for (std::size_t jr = 0; jr < nc; jr += kNr) {
-          const float* bps = bp + (jr / kNr) * (kNr * kc);
+          const float* bps = panel + g * b_stride + (jr / kNr) * (kNr * kc);
           const std::size_t nr = std::min(kNr, nc - jr);
           for (std::size_t ir = 0; ir < mc; ir += kMr) {
             const std::size_t mr = std::min(kMr, mc - ir);
             micro_kernel(ap + (ir / kMr) * (kMr * kc), bps, kc,
-                         cdata + (i0 + ir) * ldc + jc + jr, ldc, mr, nr,
-                         alpha, beta_eff, relu);
+                         dst + ir * ld + jr, ld, mr, nr, alpha, beta_eff,
+                         relu && nkb == 1);
+          }
+        }
+      });
+      if (nkb == 1) continue;
+      util::parallel_for(static_cast<std::int64_t>(m), threads,
+                         [&](std::int64_t ii) {
+        const auto i = static_cast<std::size_t>(ii);
+        float* cr = cdata + i * ldc + jc;
+        for (std::size_t g = 1; g < static_cast<std::size_t>(nkb); ++g) {
+          const float* pr = partials + (g - 1) * p_stride + i * nc;
+          for (std::size_t j = 0; j < nc; ++j) cr[j] += pr[j];
+        }
+        if (relu) {
+          for (std::size_t j = 0; j < nc; ++j) {
+            cr[j] = cr[j] > 0.0f ? cr[j] : 0.0f;
           }
         }
       });

@@ -44,7 +44,11 @@ void relu_backward(const Matrix& x, const Matrix& dy, Matrix& dx,
   util::parallel_for_ranges(static_cast<std::int64_t>(n), threads,
                             [xp, dyp, dxp](std::int64_t b, std::int64_t e) {
                               for (std::int64_t i = b; i < e; ++i) {
-                                dxp[i] = xp[i] > 0.0f ? dyp[i] : 0.0f;
+                                // Load dy unconditionally: a conditional
+                                // load keeps the loop a per-element branch;
+                                // a select vectorizes with the same bits.
+                                const float d = dyp[i];
+                                dxp[i] = xp[i] > 0.0f ? d : 0.0f;
                               }
                             });
 }

@@ -14,10 +14,12 @@ namespace gsgcn::tensor {
 /// y = max(0, x), elementwise. y must be same shape as x (may alias x).
 void relu_forward(const Matrix& x, Matrix& y, int threads = 0);
 
-/// dx = dy ⊙ 1[x > 0]. dx may alias dy. x may be either the
-/// pre-activation input or the ReLU output: relu(x) > 0 ⇔ x > 0, so
-/// callers that fused the ReLU into a GEMM epilogue (and therefore only
-/// kept the post-activation values) pass those directly.
+/// dx = x > 0 ? dy : +0, elementwise — a select, not dy·1[x > 0]: NaN,
+/// ±inf and −0 in dy give +0 wherever x ≤ 0 or x is NaN. dx may alias
+/// dy. x may be either the pre-activation input or the ReLU output:
+/// relu(x) > 0 ⇔ x > 0, so callers that fused the ReLU into a GEMM
+/// epilogue (and therefore only kept the post-activation values) pass
+/// those directly.
 void relu_backward(const Matrix& x, const Matrix& dy, Matrix& dx,
                    int threads = 0);
 

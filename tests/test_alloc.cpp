@@ -141,8 +141,12 @@ TEST(SteadyStateAllocations, TrainingIterationAllocatesNothing) {
     }
     return out;
   };
-  const std::vector<graph::Subgraph> warm = induce({260, 180, 240, 90});
-  const std::vector<graph::Subgraph> fresh = induce({200, 150, 120});
+  // 560 rows are three Kc = 256 K-blocks of the weight-gradient GEMM, so
+  // its K-split partial sums are live during warm-up; the fresh sizes
+  // cross the one/two/three-K-block edges.
+  const std::vector<graph::Subgraph> warm = induce({560, 180, 240, 90});
+  const std::vector<graph::Subgraph> fresh =
+      induce({300, 520, 200, 150, 120, 257});
   for (const int threads : thread_counts()) {
     for (const float dropout : {0.0f, 0.3f}) {
       ModelConfig mc;
