@@ -59,8 +59,9 @@ serving:
   --workers W (1)      inference worker threads
   --infer-threads T(1) threads per forward pass
   --queue-capacity (64)  admission queue bound; beyond it requests shed
-  --max-batch B (8)    requests coalesced per forward pass
-  --batch-window (2ms) how long a batch waits to fill (500us, 2ms, 1s...)
+  --max-batch B (8)    most queued requests one forward pass takes
+  --batch-window (0)   opt-in hold for a batch to fill (500us, 2ms...);
+                       0 = a free worker runs whatever is queued at once
   --deadline (1s)      default request deadline (0 = never expire)
   --idle-timeout (30s) reap connections with no IO progress
 
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
     so.infer_threads = cli.get("infer-threads", 1);
     so.queue_capacity = static_cast<std::size_t>(cli.get("queue-capacity", 64));
     so.max_batch = static_cast<std::size_t>(cli.get("max-batch", 8));
-    so.batch_window_ms = cli.get_duration_ms("batch-window", 2.0);
+    so.batch_window_ms = cli.get_duration_ms("batch-window", 0.0);
     so.default_deadline_ms =
         static_cast<std::uint32_t>(cli.get_duration_ms("deadline", 1000.0));
     so.idle_timeout_ms = cli.get_duration_ms("idle-timeout", 30000.0);

@@ -4,9 +4,12 @@
 Boots serve_cli on an ephemeral port, drives it with serve_load_cli, and
 records client-side latency percentiles (p50/p99/p999), QPS, and shed rate
 for each batch-window setting, plus the server's own drained stats. The
-committed BENCH_serving.json is the paper-trail artifact for the serving
-PR: it shows the batching window trading tail latency against throughput
-on the same synthetic graph the tests use.
+committed BENCH_serving.json is a sweep on the same synthetic graph the
+tests use. It shows no trade-off: the 0 ms window (the default) beat 2 ms
+and 8 ms on QPS (4469 vs 1161 and 408 req/s) and on p50/p99 (0.83/2.15 ms
+vs 3.28/6.67 and 9.52/17.86 ms). Its closed-loop clients keep at most 4
+requests in flight, far below max_batch, so a window never fills and its
+whole length is added wait.
 
 Usage:
   python3 scripts/bench_serving.py --build-dir build --out BENCH_serving.json

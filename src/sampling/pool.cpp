@@ -111,19 +111,41 @@ void SubgraphPool::push_batch_locked(std::vector<graph::Subgraph>&& batch) {
   not_empty_.notify_all();
 }
 
-void SubgraphPool::refill() {
-  std::uint64_t slot_base;
-  {
-    util::MutexLock lock(mu_);
-    GSGCN_ASSERT(!producer_live_,
-                 "refill() while the async producer is live would race on "
-                 "the sampler instances");
-    slot_base = next_slot_;
-    next_slot_ += static_cast<std::uint64_t>(p_inter());
+void SubgraphPool::refill_inline_locked() {
+  GSGCN_ASSERT(!producer_live_ && !refilling_,
+               "an inline refill must be the only producer");
+  const std::uint64_t slot_base = next_slot_;
+  next_slot_ += static_cast<std::uint64_t>(p_inter());
+  refilling_ = true;
+  mu_.unlock();
+  std::vector<graph::Subgraph> batch;
+  try {
+    batch = produce_batch(slot_base);
+  } catch (...) {
+    mu_.lock();
+    refilling_ = false;
+    not_empty_.notify_all();
+    throw;
   }
-  std::vector<graph::Subgraph> batch = produce_batch(slot_base);
-  util::MutexLock lock(mu_);
+  mu_.lock();
+  refilling_ = false;
   push_batch_locked(std::move(batch));
+}
+
+void SubgraphPool::refilling_wait_locked() {
+  not_empty_.wait(mu_, [&] {
+    mu_.AssertHeld();  // wait predicates run with the lock held
+    return !refilling_;
+  });
+}
+
+void SubgraphPool::refill() {
+  util::MutexLock lock(mu_);
+  refilling_wait_locked();
+  GSGCN_ASSERT(!producer_live_,
+               "refill() while the async producer is live would race on "
+               "the sampler instances");
+  refill_inline_locked();
 }
 
 void SubgraphPool::producer_main() {
@@ -181,6 +203,10 @@ void SubgraphPool::start_async() {
     producer_.join();  // reap a previously stopped producer
   }
   util::MutexLock lock(mu_);
+  // An inline refill that began while no producer was live still owns
+  // the sampler instances; let its batch land first, so one thread
+  // samples at a time and batches land in slot order.
+  refilling_wait_locked();
   stop_ = false;
   producer_live_ = true;
   producer_ = std::thread([this] { producer_main(); });
@@ -211,22 +237,23 @@ void SubgraphPool::prefill() {
   if (!queue_.empty()) return;
   ++cold_start_count_;
   GSGCN_COUNTER_INC("pool.cold_start");
-  if (producer_live_) {
-    GSGCN_TRACE_SPAN("pool/prefill_wait");
+  fill_locked("pool/prefill_wait");
+}
+
+void SubgraphPool::fill_locked([[maybe_unused]] const char* wait_span) {
+  if (producer_live_ || refilling_) {
+    GSGCN_TRACE_SPAN(wait_span);
     not_empty_.wait(mu_, [&] {
       mu_.AssertHeld();  // wait predicates run with the lock held
-      return !queue_.empty() || error_ || !producer_live_;
+      return !queue_.empty() || error_ || (!producer_live_ && !refilling_);
     });
   }
-  if (queue_.empty()) {
-    if (error_) std::rethrow_exception(error_);
-    const std::uint64_t slot_base = next_slot_;
-    next_slot_ += static_cast<std::uint64_t>(p_inter());
-    lock.Unlock();
-    std::vector<graph::Subgraph> batch = produce_batch(slot_base);
-    lock.Lock();
-    push_batch_locked(std::move(batch));
-  }
+  if (!queue_.empty()) return;
+  // No producer to wait on (sync mode, stopped, or failed): rethrow a
+  // producer error once its surviving output has drained, otherwise
+  // continue the slot sequence with an inline refill.
+  if (error_) std::rethrow_exception(error_);
+  refill_inline_locked();
 }
 
 graph::Subgraph SubgraphPool::pop() {
@@ -244,25 +271,7 @@ graph::Subgraph SubgraphPool::pop() {
       GSGCN_COUNTER_INC("pool.stalls");
     }
     const util::Timer wait_timer;
-    if (producer_live_) {
-      GSGCN_TRACE_SPAN("pool/pop_wait");
-      not_empty_.wait(mu_, [&] {
-        mu_.AssertHeld();  // wait predicates run with the lock held
-        return !queue_.empty() || error_ || !producer_live_;
-      });
-    }
-    if (queue_.empty()) {
-      // No producer to wait on (sync mode, stopped, or failed): rethrow a
-      // producer error once its surviving output has drained, otherwise
-      // continue the slot sequence with an inline refill.
-      if (error_) std::rethrow_exception(error_);
-      const std::uint64_t slot_base = next_slot_;
-      next_slot_ += static_cast<std::uint64_t>(p_inter());
-      lock.Unlock();
-      std::vector<graph::Subgraph> batch = produce_batch(slot_base);
-      lock.Lock();
-      push_batch_locked(std::move(batch));
-    }
+    fill_locked("pool/pop_wait");
     pop_wait_seconds_ += wait_timer.seconds();
   }
   GSGCN_ASSERT(!queue_.empty(), "refill produced no subgraphs");
@@ -294,6 +303,7 @@ std::uint64_t SubgraphPool::consumed() const {
 void SubgraphPool::seek(std::uint64_t slot) {
   stop_async();  // joins the producer; an in-flight batch lands first
   util::MutexLock lock(mu_);
+  refilling_wait_locked();  // an inline refill lands before the clear
   queue_.clear();
   next_slot_ = slot;
   popped_ = slot;

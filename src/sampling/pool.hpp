@@ -179,11 +179,24 @@ class SubgraphPool {
       EXCLUDES(mu_);
   void producer_main() EXCLUDES(mu_);
   void push_batch_locked(std::vector<graph::Subgraph>&& batch) REQUIRES(mu_);
+  /// Claim the next p_inter slots and produce them on this thread. The
+  /// caller has seen neither a live producer nor another inline refill;
+  /// mu_ is dropped while sampling and refilling_ is held until the batch
+  /// is pushed (or sampling threw).
+  void refill_inline_locked() REQUIRES(mu_);
+  /// Block until no inline refill is in flight.
+  void refilling_wait_locked() REQUIRES(mu_);
+  /// Make the queue non-empty: wait (under span `wait_span`) for a live
+  /// producer or inline refill, else rethrow a pending producer error or
+  /// refill inline.
+  void fill_locked(const char* wait_span) REQUIRES(mu_);
 
   const graph::CsrGraph& g_;
   // Sampler/inducer instances are mutated only by whoever produces a
-  // batch; the producer_live_ handshake (asserted in refill()) guarantees
-  // a single producer at a time, so they need no mutex of their own.
+  // batch. producer_live_ and refilling_ guarantee a single producer at a
+  // time: inline refills run only while no producer is live and wait out
+  // each other, and start_async() waits out an inline refill before it
+  // launches the producer. So the instances need no mutex of their own.
   std::vector<std::unique_ptr<VertexSampler>> samplers_;
   std::vector<std::unique_ptr<graph::Inducer>> inducers_;
   std::uint64_t seed_;
@@ -210,6 +223,8 @@ class SubgraphPool {
   bool stop_ GUARDED_BY(mu_) = false;
   /// Producer thread is producing.
   bool producer_live_ GUARDED_BY(mu_) = false;
+  /// A pop()/prefill()/refill() is producing a batch inline, outside mu_.
+  bool refilling_ GUARDED_BY(mu_) = false;
   /// First producer-side exception (sticky).
   std::exception_ptr error_ GUARDED_BY(mu_);
   double sample_seconds_ GUARDED_BY(mu_) = 0.0;

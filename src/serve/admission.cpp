@@ -40,14 +40,19 @@ bool AdmissionQueue::pop_batch(std::size_t max_batch,
   });
   if (q_.empty()) return false;  // closed and drained
 
-  // The batch window opens at the FIRST ticket's arrival, not at pop time:
-  // a popper that was busy with the previous batch must not add a fresh
-  // window of latency on top of the queueing delay already paid.
-  const SteadyTime window_end = q_.front().enqueued + window;
-  cv_.wait_until(mu_, window_end, [&] {
-    mu_.AssertHeld();  // wait predicates run with the lock held
-    return q_.size() >= max_batch || closed_;
-  });
+  // Work-conserving by default: with no window the batch is whatever
+  // backlog is queued right now, so an idle worker dispatches a lone
+  // ticket at once. An opt-in window opens at the FIRST ticket's arrival,
+  // not at pop time: a popper that was busy with the previous batch must
+  // not add a fresh window of latency on top of the queueing delay
+  // already paid.
+  if (window > std::chrono::nanoseconds::zero()) {
+    const SteadyTime window_end = q_.front().enqueued + window;
+    cv_.wait_until(mu_, window_end, [&] {
+      mu_.AssertHeld();  // wait predicates run with the lock held
+      return q_.size() >= max_batch || closed_;
+    });
+  }
 
   const SteadyTime now = std::chrono::steady_clock::now();
   while (!q_.empty() && batch.size() < max_batch) {
@@ -60,7 +65,7 @@ bool AdmissionQueue::pop_batch(std::size_t max_batch,
     }
   }
   // Shedding may have freed batch slots while later live tickets remain;
-  // that's fine — they seed the next window with their own arrival time.
+  // that's fine — they seed the next batch (and any window) themselves.
   if (!q_.empty()) cv_.notify_one();
   return true;
 }

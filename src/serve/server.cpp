@@ -56,19 +56,10 @@ void eventfd_signal(int fd) {
 }  // namespace
 
 Server::Server(SnapshotStore& store, const graph::CsrGraph& graph,
-               const tensor::Matrix& features, ServerOptions options)
-    : store_(store),
-      graph_(graph),
-      owned_view_(data::FeatureStore::view(features)),
-      features_(&owned_view_),
-      opts_(std::move(options)),
-      queue_(opts_.queue_capacity) {}
-
-Server::Server(SnapshotStore& store, const graph::CsrGraph& graph,
                const data::FeatureStore& features, ServerOptions options)
     : store_(store),
       graph_(graph),
-      features_(&features),
+      features_(features),
       opts_(std::move(options)),
       queue_(opts_.queue_capacity) {}
 
@@ -463,7 +454,7 @@ void Server::post_completions(std::vector<Completion> batch) {
 }
 
 void Server::worker_main() {
-  InferenceEngine engine(graph_, *features_);
+  InferenceEngine engine(graph_, features_);
   const auto window = std::chrono::duration_cast<std::chrono::nanoseconds>(
       std::chrono::duration<double, std::milli>(opts_.batch_window_ms));
 

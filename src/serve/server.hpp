@@ -16,7 +16,8 @@
 //               next batch, in-flight batches finish on the old one.
 //
 // Overload behavior, in order of the defenses hit as load rises:
-//   1. batching amortizes forward-pass cost (queue coalesces a window);
+//   1. batching amortizes forward-pass cost (a free worker takes the
+//      whole backlog as one batch);
 //   2. the bounded queue rejects with OVERLOADED once full;
 //   3. tickets whose deadline lapsed while queued are shed pre-compute;
 //   4. above a queue high-watermark the listener leaves the epoll set, so
@@ -42,7 +43,6 @@
 #include "serve/protocol.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/socket.hpp"
-#include "tensor/matrix.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -55,7 +55,9 @@ struct ServerOptions {
   int infer_threads = 1;         // threads per engine forward pass
   std::size_t queue_capacity = 64;
   std::size_t max_batch = 8;
-  double batch_window_ms = 2.0;
+  // Opt-in hold that lets a batch fill; 0 runs queued work as soon as a
+  // worker is free (see admission.hpp rule 3).
+  double batch_window_ms = 0.0;
   double idle_timeout_ms = 30000.0;    // reap conns with no IO progress
   std::uint32_t default_deadline_ms = 1000;  // 0 = requests never expire
 };
@@ -83,14 +85,11 @@ struct ServerStats {
 
 class Server {
  public:
-  /// `store` must outlive the server; `graph`/`features` are the serving
-  /// graph (requests address its vertex ids). This overload wraps the
-  /// matrix in a zero-copy fp32 FeatureStore view.
-  Server(SnapshotStore& store, const graph::CsrGraph& graph,
-         const tensor::Matrix& features, ServerOptions options);
-
-  /// Serve from a compressed / mmap-backed feature store (must outlive
-  /// the server). Worker engines widen rows on the fly during gathers.
+  /// `store` and `features` must outlive the server; `graph`/`features`
+  /// are the serving graph (requests address its vertex ids). Dense
+  /// features go in through a zero-copy `data::FeatureStore::view`;
+  /// compressed or mmap-backed stores are widened on the fly during
+  /// gathers.
   Server(SnapshotStore& store, const graph::CsrGraph& graph,
          const data::FeatureStore& features, ServerOptions options);
   ~Server();
@@ -157,10 +156,7 @@ class Server {
 
   SnapshotStore& store_;
   const graph::CsrGraph& graph_;
-  // The legacy Matrix ctor materializes owned_view_ and points features_
-  // at it; the FeatureStore ctor points at the caller's store directly.
-  data::FeatureStore owned_view_;
-  const data::FeatureStore* features_;
+  const data::FeatureStore& features_;
   const ServerOptions opts_;
 
   AdmissionQueue queue_;

@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "sampling/frontier_dashboard.hpp"
@@ -19,12 +21,16 @@ namespace {
 using graph::CsrGraph;
 using graph::Vid;
 
+FrontierParams small_frontier() {
+  FrontierParams p;
+  p.frontier_size = 15;
+  p.budget = 60;
+  return p;
+}
+
 SamplerFactory dashboard_factory(const CsrGraph& g) {
   return [&g](int /*instance*/) -> std::unique_ptr<VertexSampler> {
-    FrontierParams p;
-    p.frontier_size = 15;
-    p.budget = 60;
-    return std::make_unique<DashboardFrontierSampler>(g, p);
+    return std::make_unique<DashboardFrontierSampler>(g, small_frontier());
   };
 }
 
@@ -273,6 +279,67 @@ TEST(SubgraphPoolAsync, RestartAfterStopResumesProduction) {
   }
 }
 
+/// One consumer pops while three threads start and stop the producer.
+void churn_lifecycle(SubgraphPool& pool) {
+  util::parallel_region(4, [&](int tid, int /*nthreads*/) {
+    for (int iter = 0; iter < 8; ++iter) {
+      if (tid == 0) {
+        const graph::Subgraph sub = pool.pop();
+        EXPECT_GT(sub.num_vertices(), 0u);
+        EXPECT_TRUE(sub.graph.validate().empty()) << sub.graph.validate();
+      } else if (tid % 2 == 1) {
+        pool.start_async();
+      } else {
+        pool.stop_async();
+      }
+    }
+  });
+}
+
+/// Dashboard sampler that counts calls entering it while another thread
+/// is still inside: the pool promises one producing thread per instance.
+class OverlapCountingSampler : public VertexSampler {
+ public:
+  OverlapCountingSampler(const CsrGraph& g, std::atomic<int>& overlaps)
+      : inner_(g, small_frontier()), overlaps_(overlaps) {}
+
+  std::vector<Vid> sample_vertices(util::Xoshiro256& rng) override {
+    if (active_.fetch_add(1) != 0) overlaps_.fetch_add(1);
+    std::vector<Vid> out = inner_.sample_vertices(rng);
+    active_.fetch_sub(1);
+    return out;
+  }
+
+  std::string name() const override { return "overlap_counting"; }
+
+ private:
+  DashboardFrontierSampler inner_;
+  std::atomic<int>& overlaps_;
+  std::atomic<int> active_{0};
+};
+
+TEST(SubgraphPoolAsync, InlineRefillNeverOverlapsTheProducer) {
+  // Regression: pop() decided to refill inline because no producer was
+  // live, then dropped the queue lock to sample; a start_async() in that
+  // gap launched the producer, and both threads ran the same sampler and
+  // Inducer at once: a corrupt induced CSR, which only a Debug build's
+  // Inducer assertion caught, and only in a few single churns out of a
+  // hundred. start_async now waits for an in-flight inline refill to land.
+  // The counting sampler sees the overlap on any build type, and 50
+  // churns make the old interleaving all but certain to occur.
+  const CsrGraph g = gsgcn::testing::small_er();
+  std::atomic<int> overlaps{0};
+  auto factory = [&](int /*instance*/) -> std::unique_ptr<VertexSampler> {
+    return std::make_unique<OverlapCountingSampler>(g, overlaps);
+  };
+  for (int rep = 0; rep < 50; ++rep) {
+    SubgraphPool pool(g, factory, async_options(2, 57, 4));
+    churn_lifecycle(pool);
+    pool.stop_async();
+    ASSERT_EQ(overlaps.load(), 0) << "samplers overlapped in churn " << rep;
+  }
+}
+
 TEST(SubgraphPoolAsync, ConcurrentLifecycleCallsDoNotRace) {
   // Regression (thread-safety annotation sweep): start_async/stop_async
   // used to read, join, and reassign the producer std::thread handle
@@ -283,17 +350,7 @@ TEST(SubgraphPoolAsync, ConcurrentLifecycleCallsDoNotRace) {
   // under the TSan ctest label (concurrency).
   const CsrGraph g = gsgcn::testing::small_er();
   SubgraphPool pool(g, dashboard_factory(g), async_options(2, 57, 4));
-  util::parallel_region(4, [&](int tid, int /*nthreads*/) {
-    for (int iter = 0; iter < 8; ++iter) {
-      if (tid == 0) {
-        EXPECT_GT(pool.pop().num_vertices(), 0u);
-      } else if (tid % 2 == 1) {
-        pool.start_async();
-      } else {
-        pool.stop_async();
-      }
-    }
-  });
+  churn_lifecycle(pool);
   pool.stop_async();
   EXPECT_FALSE(pool.async_running());
   // The pool must come out of the churn fully functional and still on

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "data/feature_store.hpp"
 #include "data/synthetic.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
@@ -103,6 +104,7 @@ class ServeServerTest : public ::testing::Test {
     p.avg_degree = 5.0;
     p.seed = 9;
     ds_ = data::make_synthetic(p);
+    features_ = data::FeatureStore::view(ds_.features);
     mc_.in_dim = ds_.feature_dim();
     mc_.hidden_dim = 6;
     mc_.num_classes = ds_.num_classes();
@@ -120,7 +122,7 @@ class ServeServerTest : public ::testing::Test {
   /// Start a server with `opts` (port always kernel-assigned).
   void start_server(ServerOptions opts) {
     opts.port = 0;
-    server_ = std::make_unique<Server>(*store_, ds_.graph, ds_.features,
+    server_ = std::make_unique<Server>(*store_, ds_.graph, features_,
                                        std::move(opts));
     server_->start();
     ASSERT_NE(server_->port(), 0);
@@ -142,6 +144,7 @@ class ServeServerTest : public ::testing::Test {
   }
 
   data::Dataset ds_;
+  data::FeatureStore features_;
   gcn::ModelConfig mc_;
   std::unique_ptr<SnapshotStore> store_;
   std::unique_ptr<Server> server_;
@@ -190,6 +193,41 @@ TEST_F(ServeServerTest, PipelinedRequestsComeBackInOrder) {
     EXPECT_EQ(resps[i].request_id, 1000 + i) << "order preserved";
     EXPECT_EQ(resps[i].status, Status::kOk) << resps[i].message;
   }
+}
+
+TEST_F(ServeServerTest, BacklogCoalescesIntoOneBatchWithoutAWindow) {
+  // Default options: no batch window. The first request runs alone as
+  // soon as it is admitted, and its batch stalls ~100 ms on the injected
+  // delay. The 7 requests pipelined meanwhile queue up behind it, and the
+  // worker takes that whole backlog as its second batch.
+  util::FaultInjector::instance().arm("serve.infer", 1,
+                                      util::FaultKind::kDelay,
+                                      /*delay_ms=*/100);
+  start_server(ServerOptions{});
+  Fd fd = raw_connect();
+  ASSERT_TRUE(send_all(fd.get(), framed_request(infer_request({1}, 0))));
+  // Wait until the worker has popped the first request. `requests` counts
+  // a request just before it is queued, so settle briefly as well.
+  const auto give_up = std::chrono::steady_clock::now() + 5s;
+  while (server_->stats().requests.load() < 1 || server_->queue_depth() > 0) {
+    ASSERT_LT(std::chrono::steady_clock::now(), give_up);
+    std::this_thread::sleep_for(1ms);
+  }
+  std::this_thread::sleep_for(10ms);
+  constexpr std::uint64_t kN = 8;
+  std::string burst;
+  for (std::uint64_t i = 1; i < kN; ++i) {
+    burst += framed_request(infer_request({static_cast<graph::Vid>(i)}, i));
+  }
+  ASSERT_TRUE(send_all(fd.get(), burst));
+
+  std::vector<Response> resps;
+  ASSERT_EQ(recv_responses(fd.get(), kN, resps), kN);
+  for (std::uint64_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(resps[i].request_id, i);
+    EXPECT_EQ(resps[i].status, Status::kOk) << resps[i].message;
+  }
+  EXPECT_EQ(server_->stats().batches.load(), 2u);
 }
 
 TEST_F(ServeServerTest, GarbageBytesGetErrorFrameAndCloseNotCrash) {
@@ -267,7 +305,6 @@ TEST_F(ServeServerTest, FullQueueShedsWithOverloaded) {
   ServerOptions opts;
   opts.queue_capacity = 2;
   opts.max_batch = 1;
-  opts.batch_window_ms = 0.0;
   opts.default_deadline_ms = 0;  // isolate queue-full from deadline shed
   start_server(opts);
 
@@ -300,7 +337,6 @@ TEST_F(ServeServerTest, ExpiredDeadlinesAreShedBeforeCompute) {
   ServerOptions opts;
   opts.queue_capacity = 16;
   opts.max_batch = 1;
-  opts.batch_window_ms = 0.0;
   start_server(opts);
 
   Fd fd = raw_connect();
@@ -345,7 +381,6 @@ TEST_F(ServeServerTest, GracefulDrainAnswersInflightThenExits) {
       "serve.infer", 1.0, util::FaultKind::kDelay, /*delay_ms=*/30);
   ServerOptions opts;
   opts.max_batch = 1;
-  opts.batch_window_ms = 0.0;
   opts.default_deadline_ms = 0;
   start_server(opts);
 
@@ -384,7 +419,6 @@ TEST_F(ServeServerTest, RequestsAfterDrainStartAreToldToGoAway) {
       "serve.infer", 1.0, util::FaultKind::kDelay, /*delay_ms=*/300);
   ServerOptions opts;
   opts.max_batch = 1;
-  opts.batch_window_ms = 0.0;
   opts.default_deadline_ms = 0;
   start_server(opts);
 
